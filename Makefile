@@ -55,15 +55,17 @@ sparse-equiv:
 	$(GO) test -count=1 -run 'TestSparse|TestAutoSwitch|TestEngine|TestCheckpointRestoreEquivalence|TestReadCheckpointInfoReportsEngine' ./internal/core
 	$(GO) test -count=1 -run 'TestLongHorizon' ./internal/experiment
 
-# acq-equiv runs the adaptive-acquisition equivalence suite: bitwise
-# SweepSubset-vs-Sweep agreement, the exhaustive-vs-adaptive twin-agent
-# exactness contract on small (randomized, non-uniform, split-carrying)
-# grids, bounded regret within the evaluation budget on grids above the
-# auto threshold, grid index-algebra properties, and the adaptive
-# checkpoint round-trip.
+# acq-equiv runs the acquisition equivalence suite: bitwise agreement of
+# the SweepPlan sweep with the generic PosteriorBatch path over full and
+# arbitrary index lists, bitwise agreement of SelectControl with the
+# test-only PosteriorBatch selection oracle on every period of small
+# (randomized, non-uniform, split-carrying) grids and the paper's 11^4
+# grid, the package-kernel contract, bounded regret within the evaluation
+# budget on grids above the auto threshold, grid index-algebra
+# properties, and the adaptive checkpoint round-trip.
 acq-equiv:
-	$(GO) test -count=1 -run 'TestSweepSubset' ./internal/gp
-	$(GO) test -count=1 -run 'TestGridNonUniform|TestAcqEquiv|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint' ./internal/core
+	$(GO) test -count=1 -run 'TestSweepSubset|TestSweepPlanMatchesGeneric' ./internal/gp
+	$(GO) test -count=1 -run 'TestGridNonUniform|TestAcqEquiv|TestAgentSweepPlan|TestNewAgentRejectsForeignKernel|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint' ./internal/core
 
 # metrics-smoke boots the O-RAN deployment with -metrics, curls /metrics,
 # and greps for the documented core/gp/oran/testbed metric families.

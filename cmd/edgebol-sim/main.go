@@ -27,9 +27,9 @@
 // -grid value; a fifth count (or -split-layers N) opens the
 // split-inference dimension, placing part of the detector DNN on the
 // device. Grids past the paper's scale (e.g. -grid 31 -split-layers 8,
-// 7.4M candidates) are what -acquisition is for: auto keeps the
-// bitwise-exact exhaustive sweep on small grids and switches to the
-// coarse-to-fine adaptive engine on large ones.
+// 7.4M candidates) are what -acquisition is for: auto evaluates every
+// candidate on small grids and switches to the budgeted coarse-to-fine
+// search on large ones.
 //
 // With -metrics, a registry instruments the agent and the testbed and an
 // HTTP server on ADDR serves /metrics (Prometheus text) and /debug/pprof

@@ -97,8 +97,8 @@ type (
 	EngineSelector = core.EngineSelector
 	// AcquisitionRule selects the selection formula (Options.Rule).
 	AcquisitionRule = core.AcquisitionRule
-	// AcquisitionMode selects the acquisition engine — exhaustive sweep
-	// or coarse-to-fine adaptive search (Options.Acquisition).
+	// AcquisitionMode selects the acquisition engine's mode — full
+	// coverage or a budgeted coarse-to-fine search (Options.Acquisition).
 	AcquisitionMode = core.AcquisitionMode
 )
 
@@ -119,9 +119,9 @@ const (
 	AcquisitionSafeOpt = core.AcquisitionSafeOpt
 )
 
-// Acquisition engines (DESIGN.md §14): auto picks the exhaustive sweep on
-// grids up to the paper's scale and the adaptive coarse-to-fine engine on
-// the larger spaces the split-inference dimension opens up.
+// Acquisition modes (DESIGN.md §14): auto evaluates every candidate on
+// grids up to the paper's scale and runs the budgeted coarse-to-fine
+// search on the larger spaces the split-inference dimension opens up.
 const (
 	AcqAuto       = core.AcqAuto
 	AcqExhaustive = core.AcqExhaustive

@@ -427,11 +427,12 @@ func (a *Agent) SaveCheckpoint(w io.Writer) error {
 			sections = append(sections, checkpoint.Section{Tag: powTags[i], Data: encodeGPState(g.Snapshot())})
 		}
 	}
-	// Adaptive agents hold no full-grid safe-set mask (the per-candidate
-	// pools are rebuilt from scratch each period), so the ancillary safe
-	// section is written by exhaustive agents only.
+	// The ancillary safe section is written by exhaustive agents only:
+	// their engine runs full coverage, so its safe-set slot mask is the
+	// grid-ordered mask. Adaptive agents rebuild their slots from scratch
+	// each period and write none.
 	if !a.adaptive {
-		sections = append(sections, checkpoint.Section{Tag: secSafe, Data: encodeSafe(a.safe)})
+		sections = append(sections, checkpoint.Section{Tag: secSafe, Data: encodeSafe(a.acq.safe)})
 	}
 	cw := &countingWriter{w: w}
 	if err := checkpoint.Encode(cw, sections); err != nil {
@@ -611,12 +612,12 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 			}
 		}
 	}
-	// The safe-set section is ancillary: restore it when intact, recompute
-	// otherwise — SelectControl rebuilds it from posteriors every period.
-	// Adaptive agents keep no full-grid mask and skip it entirely.
+	// The safe-set section is ancillary: restore it into the full-coverage
+	// slot mask when intact, recompute otherwise — SelectControl rebuilds
+	// it from posteriors every period. Adaptive agents skip it entirely.
 	if sec := arch.Find(secSafe); sec != nil && !a.adaptive {
-		if safe, err := decodeSafe(sec.Data, len(a.grid)); err == nil {
-			copy(a.safe, safe)
+		if safe, err := decodeSafe(sec.Data, a.opts.Grid.Size()); err == nil {
+			copy(a.acq.safe, safe)
 		}
 	}
 	a.met.ckptRestores.Inc()

@@ -45,6 +45,7 @@ func runPeriods(t *testing.T, a *Agent, from, to int) []stepResult {
 		if err := a.Observe(ctx, x, scriptKPIs(i, x)); err != nil {
 			t.Fatalf("period %d: Observe: %v", i, err)
 		}
+		checkInvariants(t, a)
 		out = append(out, stepResult{x: x, info: info})
 	}
 	return out
@@ -72,15 +73,6 @@ func assertSameSteps(t *testing.T, got, want []stepResult) {
 	}
 }
 
-// wrappedKernel hides a package kernel behind a foreign type, forcing the
-// agent off the SweepPlan fast path onto the generic batched sweep and
-// exercising the %T kernel-name path of the snapshot format.
-type wrappedKernel struct{ gp.Kernel }
-
-func wrappedFactory(ls []float64) gp.Kernel {
-	return &wrappedKernel{gp.Matern32Factory(ls)}
-}
-
 func testOptions() Options {
 	return Options{
 		Grid:        GridSpec{Levels: 3, MinResolution: 0.2, MinAirtime: 0.2},
@@ -94,8 +86,8 @@ func testOptions() Options {
 // into a fresh agent, and run the remaining T/2. The restored agent's
 // every selection and posterior must be bitwise identical to the
 // uninterrupted run — across worker counts, with sliding-window
-// evictions, with decomposed power GPs, and on the generic (plan-less)
-// sweep path.
+// evictions, with decomposed power GPs, under SafeOpt, and on the sparse
+// and auto-switching engines.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	const T = 26
 	cases := []struct {
@@ -111,7 +103,6 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			o.DecomposedCost = true
 			o.MaxObservations = 8
 		}},
-		{"generic sweep", func(o *Options) { o.KernelFactory = wrappedFactory }},
 		{"safeopt", func(o *Options) { o.Rule = AcquisitionSafeOpt }},
 		{"sparse", func(o *Options) {
 			o.Engine = EngineSparse

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/gp"
@@ -114,8 +113,12 @@ type Options struct {
 	// the β-inflated confidence bound never certifies any unobserved
 	// control and the agent stays pinned to S₀ — so nil defaults to
 	// ≈10 grid steps on the control dimensions and 0.6 on the context
-	// dimensions. KernelFactory defaults to the paper's Matérn-3/2.
-	LengthScales  []float64
+	// dimensions.
+	LengthScales []float64
+	// KernelFactory builds each GP's kernel; nil defaults to the paper's
+	// Matérn-3/2. It must return a package kernel — gp.Matern32,
+	// gp.Matern52 or gp.RBF — because every posterior sweep runs through a
+	// gp.SweepPlan; NewAgent rejects any other kernel type.
 	KernelFactory gp.KernelFactory
 	// LengthScalesPerGP optionally overrides LengthScales per objective
 	// (0 = cost, 1 = delay, 2 = mAP) — the paper fits hyperparameters for
@@ -161,14 +164,16 @@ type Options struct {
 	// uncertainty-in-maximizers-and-expanders rule the paper compared
 	// against and found "overly slow" (§5, citing Berkenkamp et al.).
 	Rule AcquisitionRule
-	// Acquisition selects the acquisition engine: AcqAuto (default) runs
-	// the exhaustive sweep on grids where it is affordable and the
-	// adaptive coarse-to-fine engine past acqAutoThreshold candidates;
-	// AcqExhaustive and AcqAdaptive force one engine. On small grids the
-	// adaptive engine returns the exhaustive argmax exactly (the acq-equiv
-	// gate); on larger grids it holds a bounded optimum regret while
-	// evaluating a few percent of the candidates. Fixed configuration: a
-	// checkpoint restores only under the mode it was saved with.
+	// Acquisition selects the acquisition mode of the one acquisition
+	// engine. The engine runs full coverage — every grid point's posterior
+	// every period — or a budgeted coarse-to-fine search that evaluates a
+	// few percent of the candidates at a bounded optimum regret.
+	// AcqExhaustive always runs full coverage; AcqAdaptive runs the
+	// budgeted search above acqAutoThreshold candidates and full coverage
+	// at or below it; AcqAuto (default) behaves as AcqExhaustive at or
+	// below the threshold and under AcquisitionSafeOpt, and as AcqAdaptive
+	// otherwise. Fixed configuration: a checkpoint restores only under the
+	// mode it was saved with.
 	Acquisition AcquisitionMode
 	// DecomposedCost learns the two power surfaces p_s and p_b with
 	// separate GPs instead of the scalar cost u. The acquisition combines
@@ -326,8 +331,7 @@ func (o *Options) applyDefaults() error {
 	}
 	if o.Acquisition == AcqAdaptive && o.Rule == AcquisitionSafeOpt {
 		// SafeOpt ranks maximizers and expanders against the *global*
-		// best-UCB over the safe set, which requires the full posterior
-		// arrays the adaptive engine exists to avoid materializing.
+		// best-UCB over the safe set, which only full coverage computes.
 		return fmt.Errorf("core: AcquisitionSafeOpt requires the exhaustive acquisition engine")
 	}
 	return nil
@@ -363,18 +367,19 @@ const (
 type AcquisitionMode int
 
 const (
-	// AcqAuto (the zero value) sweeps exhaustively on grids up to
-	// acqAutoThreshold candidates — where the SweepPlan is fast and the
-	// full posterior arrays are cheap — and switches to the adaptive
-	// engine beyond, where the exhaustive sweep stops scaling.
+	// AcqAuto (the zero value) runs full coverage on grids up to
+	// acqAutoThreshold candidates — where the sweep is fast and the
+	// per-slot arrays are cheap — and the budgeted search beyond, where
+	// sweeping the whole grid stops scaling. SafeOpt forces full coverage.
 	AcqAuto AcquisitionMode = iota
-	// AcqExhaustive forces the full-grid sweep: every candidate's
-	// posterior is computed every period. The correctness oracle the
-	// adaptive engine is tested against.
+	// AcqExhaustive forces full coverage: every candidate's posterior is
+	// computed every period, at any grid size.
 	AcqExhaustive
-	// AcqAdaptive forces the coarse-to-fine engine: a strided sub-lattice
-	// sweep refined around the incumbents plus best-first local search
-	// seeded from the safe set, evaluating a few percent of the grid.
+	// AcqAdaptive forces the budgeted coarse-to-fine search above
+	// acqAutoThreshold: a strided sub-lattice sweep refined around the
+	// incumbents plus best-first local search seeded from the safe set,
+	// evaluating a few percent of the grid. At or below the threshold it
+	// runs full coverage.
 	AcqAdaptive
 )
 
@@ -390,11 +395,10 @@ func (m AcquisitionMode) String() string {
 	}
 }
 
-// acqAutoThreshold is the grid size above which AcqAuto abandons the
-// exhaustive sweep. The paper's 11⁴ = 14 641 grid stays comfortably below
-// it, so default-configured agents keep their bitwise-exact behaviour; the
-// bound also marks where the adaptive engine's informed-set flood still
-// guarantees the exhaustive argmax exactly (see acquire.go).
+// acqAutoThreshold is the grid size above which AcqAuto and AcqAdaptive
+// switch from full coverage to the budgeted search. The paper's
+// 11⁴ = 14 641 grid stays comfortably below it, so default-configured
+// agents select the exact eq. 9 optimum over the whole grid.
 const acqAutoThreshold = 32768
 
 // gpCost, gpDelay, gpMAP index the agent's three GPs, matching the paper's
@@ -410,15 +414,13 @@ const (
 // concurrent use.
 type Agent struct {
 	opts Options
-	// grid is the materialized control space. Exhaustive agents build it
-	// at construction; adaptive agents leave it nil — a multi-million-point
-	// grid is exactly what the adaptive engine avoids materializing — and
-	// Grid() enumerates lazily for diagnostics and baselines that ask.
+	// grid caches the enumerated control space for Grid(). Selection never
+	// reads it: the acquisition engine navigates the grid by index.
 	grid []Control
-	// adaptive is the resolved acquisition engine: Options.Acquisition
-	// after AcqAuto has been decided against the grid size.
+	// adaptive is the resolved acquisition mode: Options.Acquisition after
+	// AcqAuto has been decided against the grid size and the rule.
 	adaptive bool
-	// acq is the pooled adaptive-engine state (nil on exhaustive agents).
+	// acq is the pooled acquisition-engine state.
 	acq *acqEngine
 
 	gps [numGPs]*gp.GP
@@ -427,23 +429,11 @@ type Agent struct {
 
 	// plans are the per-objective grid sweep engines: distance tables over
 	// the grid levels that turn each period's cross-covariance into table
-	// lookups plus a per-training-point context scalar. A nil entry (the
-	// kernel factory produced a non-package kernel) falls back to the
-	// generic PosteriorBatch path; either way results are bitwise
-	// identical.
+	// lookups plus a per-training-point context scalar. Every objective has
+	// one: NewAgent refuses kernels the plan cannot factorize.
 	plans    [numGPs]*gp.SweepPlan
 	powPlans [2]*gp.SweepPlan
 
-	// feats is the grid's joint feature matrix, one row per grid point,
-	// backed by a single flat allocation. The control portion of every row
-	// (slots [ContextDims:]) is filled once at construction — the grid never
-	// changes — and SelectControl refreshes only the context slots, and
-	// only when some objective actually sweeps through the generic path.
-	feats      [][]float64
-	mu, sigma  [numGPs][]float64
-	powMu      [2][]float64
-	powSigma   [2][]float64
-	safe       []bool
 	safeSeedIx []int // indices of seed controls within the grid
 	t          int
 
@@ -484,23 +474,24 @@ type agentMetrics struct {
 
 // SelectionInfo reports diagnostics from one acquisition step.
 type SelectionInfo struct {
-	// SafeSetSize is |S_t| including the seed set. Under the adaptive
-	// engine it counts the safe points among the evaluated candidates —
-	// on small grids that equals the exhaustive count exactly (the
-	// informed-set flood visits every certifiable point); on large grids
-	// it is a lower bound.
+	// SafeSetSize is |S_t| including the seed set. It counts the safe
+	// points among the evaluated candidates: exact at full coverage, a
+	// lower bound in budgeted mode.
 	SafeSetSize int
 	// FromSeed is true when no learned control passed the safety test and
 	// the acquisition fell back to the seed set S₀.
 	FromSeed bool
-	// Adaptive reports which acquisition engine produced this selection.
+	// Adaptive reports the agent's resolved acquisition mode: true under
+	// AcqAdaptive, and under AcqAuto above acqAutoThreshold candidates.
+	// Both modes run the one acquisition engine; an adaptive agent on a
+	// grid at or below the threshold still runs it at full coverage.
 	Adaptive bool
 	// CandidatesEvaluated is the number of grid points whose posterior
-	// was computed this period — the grid size for the exhaustive sweep,
-	// typically a few percent of it for the adaptive engine.
+	// was computed this period — the grid size at full coverage,
+	// typically a few percent of it in budgeted mode.
 	CandidatesEvaluated int
 	// RefineRounds is the number of multigrid refinement rounds the
-	// adaptive engine ran (0 under the exhaustive sweep).
+	// budgeted mode ran (0 at full coverage).
 	RefineRounds int
 	// LCB is the acquisition value of the selected control (normalized).
 	LCB float64
@@ -521,22 +512,12 @@ func NewAgent(opts Options) (*Agent, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
 	}
-	gridSize := opts.Grid.Size()
 	a := &Agent{opts: opts}
 	switch opts.Acquisition {
 	case AcqAdaptive:
 		a.adaptive = true
 	case AcqAuto:
-		a.adaptive = gridSize > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt
-	}
-	if !a.adaptive {
-		grid, err := opts.Grid.Enumerate()
-		if err != nil {
-			return nil, err
-		}
-		a.grid = grid
-	} else if err := opts.Grid.Validate(); err != nil {
-		return nil, err
+		a.adaptive = opts.Grid.Size() > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt
 	}
 	newGP := func(ls []float64, noiseVar float64) (*gp.GP, error) {
 		if opts.Engine == EngineSparse {
@@ -555,10 +536,6 @@ func NewAgent(opts Options) (*Agent, error) {
 		}
 		a.gps[i] = g
 		a.gps[i].Instrument(opts.Telemetry, objectiveNames[i])
-		if !a.adaptive {
-			a.mu[i] = make([]float64, gridSize)
-			a.sigma[i] = make([]float64, gridSize)
-		}
 	}
 	if opts.DecomposedCost {
 		ls := opts.LengthScales
@@ -572,15 +549,9 @@ func NewAgent(opts Options) (*Agent, error) {
 			}
 			a.powerGPs[i] = g
 			a.powerGPs[i].Instrument(opts.Telemetry, powerObjectiveNames[i])
-			if !a.adaptive {
-				a.powMu[i] = make([]float64, gridSize)
-				a.powSigma[i] = make([]float64, gridSize)
-			}
 		}
 	}
-	// One sweep plan per objective, built from the grid's level values;
-	// a constructor error (e.g. a custom kernel the plan cannot factorize)
-	// leaves the entry nil and that objective on the generic path.
+	// One sweep plan per objective, built from the grid's level values.
 	if err := a.buildPlans(); err != nil {
 		return nil, err
 	}
@@ -608,17 +579,6 @@ func NewAgent(opts Options) (*Agent, error) {
 		acqLatency: opts.Telemetry.Histogram("edgebol_acq_select_seconds",
 			telemetry.LatencyBuckets(), "mode", a.acqMode().String()),
 	}
-	if !a.adaptive {
-		const dims = ContextDims + ControlDims
-		a.feats = make([][]float64, len(a.grid))
-		flat := make([]float64, len(a.grid)*dims)
-		for i, x := range a.grid {
-			row := flat[i*dims : (i+1)*dims : (i+1)*dims]
-			x.appendFeatures(row[ContextDims:ContextDims])
-			a.feats[i] = row
-		}
-		a.safe = make([]bool, len(a.grid))
-	}
 	// Locate seed controls on the grid (snapped if off-grid) by direct
 	// index arithmetic.
 	for _, s := range opts.SafeSeed {
@@ -627,9 +587,7 @@ func NewAgent(opts Options) (*Agent, error) {
 	if len(a.safeSeedIx) == 0 {
 		return nil, fmt.Errorf("core: no safe seed maps onto the grid")
 	}
-	if a.adaptive {
-		a.acq = newAcqEngine(a)
-	}
+	a.acq = newAcqEngine(a)
 	return a, nil
 }
 
@@ -648,29 +606,32 @@ func (a *Agent) sparseConfig() gp.SparseConfig {
 }
 
 // buildPlans (re)builds the per-objective grid sweep plans from the
-// grid's level values against each GP's current basis. A plan constructor
-// error (e.g. a custom kernel the plan cannot factorize) leaves that entry
-// nil and the objective on the generic PosteriorBatch path; either way
-// results are bitwise identical.
+// grid's level values against each GP's current basis. A kernel the plan
+// cannot factorize — anything but the package's Matérn-3/2, Matérn-5/2
+// and RBF kernels — is an error naming its type.
 func (a *Agent) buildPlans() error {
 	levelVals, err := a.opts.Grid.LevelValues()
 	if err != nil {
 		return err
 	}
-	build := func(g *gp.GP, objective string) *gp.SweepPlan {
+	build := func(g *gp.GP, objective string) (*gp.SweepPlan, error) {
 		plan, err := gp.NewSweepPlan(g, ContextDims, levelVals)
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("core: %s GP: %w", objective, err)
 		}
 		plan.Instrument(a.opts.Telemetry, objective)
-		return plan
+		return plan, nil
 	}
 	for i := range a.gps {
-		a.plans[i] = build(a.gps[i], objectiveNames[i])
+		if a.plans[i], err = build(a.gps[i], objectiveNames[i]); err != nil {
+			return err
+		}
 	}
 	if a.opts.DecomposedCost {
 		for i := range a.powerGPs {
-			a.powPlans[i] = build(a.powerGPs[i], powerObjectiveNames[i])
+			if a.powPlans[i], err = build(a.powerGPs[i], powerObjectiveNames[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -718,30 +679,9 @@ func (a *Agent) InducingPoints() int {
 	return a.gps[gpDelay].InducingLen()
 }
 
-// needsGenericSweep reports whether any objective active this period lacks
-// a grid sweep plan and therefore reads the shared feature matrix.
-func (a *Agent) needsGenericSweep() bool {
-	for i := range a.gps {
-		if i == gpCost && a.opts.DecomposedCost {
-			continue
-		}
-		if a.plans[i] == nil {
-			return true
-		}
-	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			if a.powPlans[i] == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Grid returns the enumerated control space. Adaptive agents do not
-// materialize the grid for acquisition; the first Grid call enumerates it
-// lazily for diagnostics and baselines that iterate the space explicitly.
+// Grid returns the enumerated control space. Acquisition never
+// materializes the grid; the first Grid call enumerates it lazily for
+// diagnostics and baselines that iterate the space explicitly.
 func (a *Agent) Grid() []Control {
 	if a.grid == nil {
 		grid, err := a.opts.Grid.Enumerate()
@@ -806,16 +746,14 @@ func (a *Agent) SetWeights(w CostWeights) error {
 }
 
 // invalidateDerived drops every piece of cached state computed under the
-// previous weights or constraints: the safe-set mask and the last
-// selection diagnostics. The per-objective posteriors themselves are
+// previous weights or constraints: the engine's safe-set slot mask and the
+// last selection diagnostics. The per-objective posteriors themselves are
 // reconfiguration-independent (the agent models surfaces, not thresholds)
 // and are recomputed from scratch by the next SelectControl anyway; the
 // mask is cleared so no stale "safe under the old thresholds" bit can be
 // observed between the reconfiguration and that next sweep.
 func (a *Agent) invalidateDerived() {
-	for i := range a.safe {
-		a.safe[i] = false
-	}
+	clear(a.acq.safe)
 	a.lastInfo = SelectionInfo{}
 }
 
@@ -823,234 +761,27 @@ func (a *Agent) invalidateDerived() {
 func (a *Agent) Observations() int { return a.t }
 
 // SelectControl runs lines 4–7 of Algorithm 1 for the given context:
-// compute the three posteriors over the whole grid, build the safe set
-// (eq. 8, always including S₀), and minimize the constrained LCB (eq. 9).
+// compute the three posteriors over the candidates, build the safe set
+// (eq. 8, always including S₀), and minimize the constrained LCB (eq. 9) —
+// or apply the SafeOpt rule. At full coverage the candidates are the whole
+// grid; in budgeted mode they are the three-wave search of acquire.go.
 //
 //edgebol:hot
 func (a *Agent) SelectControl(ctx Context) (Control, SelectionInfo) {
-	if a.adaptive {
-		return a.selectAdaptive(ctx)
-	}
 	start := time.Now()
-	var cbuf [ContextDims]float64
-	cf := ctx.appendFeatures(cbuf[:0])
-	// The control portion of every feature row was precomputed at
-	// construction; only the context slots change between periods — and
-	// objectives swept through a grid plan never read the feature matrix
-	// at all, so the refresh runs only when some objective lacks a plan.
-	if a.needsGenericSweep() {
-		for _, row := range a.feats {
-			copy(row[:ContextDims], cf)
-		}
+	e := a.acq
+	e.reset(ctx)
+	if e.full {
+		e.addAll()
+		e.flush()
+	} else {
+		e.addMandatory()
+		e.addCoarseLattice()
+		e.flush()
+		e.refine()
+		e.flood()
 	}
-	// The per-objective posterior sweeps are independent — each reads the
-	// shared feature matrix (or its own plan's distance tables) and writes
-	// only its own mu/sigma buffers, and the GP read path holds no mutable
-	// state — so they run concurrently, each internally sharded across
-	// workers. Plan and generic paths are bitwise interchangeable.
-	workers := a.opts.InferenceWorkers
-	var wg sync.WaitGroup
-	sweep := func(g *gp.GP, plan *gp.SweepPlan, mu, sigma []float64) {
-		run := func(w int) {
-			if plan != nil {
-				plan.Sweep(cf, mu, sigma, w)
-				return
-			}
-			g.PosteriorBatch(a.feats, mu, sigma, gp.BatchOptions{Workers: w})
-		}
-		if workers == 1 {
-			run(1)
-			return
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(workers)
-		}()
-	}
-	for i := range a.gps {
-		if i == gpCost && a.opts.DecomposedCost {
-			continue
-		}
-		sweep(a.gps[i], a.plans[i], a.mu[i], a.sigma[i])
-	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			sweep(a.powerGPs[i], a.powPlans[i], a.powMu[i], a.powSigma[i])
-		}
-	}
-	wg.Wait()
-	if a.opts.DecomposedCost {
-		// Combine the power posteriors into a cost posterior in raw
-		// monetary units (only the ranking matters for the acquisition):
-		// μ_u = δ₁·p̂_s + δ₂·p̂_b and, with the two surfaces modeled as
-		// independent GPs, σ_u² = (δ₁·s_s·σ_s)² + (δ₂·s_b·σ_b)².
-		w := a.opts.Weights
-		n := a.opts.Norm
-		for i := range a.grid {
-			ps := a.powMu[0][i]*n.ServerPower.Scale + n.ServerPower.Center
-			pb := a.powMu[1][i]*n.BSPower.Scale + n.BSPower.Center
-			a.mu[gpCost][i] = w.Delta1*ps + w.Delta2*pb
-			ss := w.Delta1 * n.ServerPower.Scale * a.powSigma[0][i]
-			sb := w.Delta2 * n.BSPower.Scale * a.powSigma[1][i]
-			a.sigma[gpCost][i] = math.Sqrt(ss*ss + sb*sb)
-		}
-	}
-
-	cons := a.opts.Constraints
-	dmax := a.opts.Norm.Delay.Norm(cons.MaxDelay)
-	rmin := a.opts.Norm.MAP.Norm(cons.MinMAP)
-	meanViolates := func(i int) bool {
-		return a.mu[gpDelay][i] > dmax || a.mu[gpMAP][i] < rmin
-	}
-	// The delay constraint of eq. 2 bounds the *noisy per-period
-	// observations* d_t, so its safety test uses the predictive bound
-	// β·√(σ² + ζ²) — with the latent bound alone the agent legally rides
-	// the boundary and observation noise produces violations far beyond
-	// the paper's ≈2 %. The mAP constraint instead uses the latent bound:
-	// a finite-batch mAP estimate dipping below ρ^min is measurement
-	// noise, not a service failure, and the paper's own Fig. 9 inset shows
-	// observed mAP fluctuating below ρ^min at the optimum.
-	zetaD := math.Sqrt(a.gps[gpDelay].NoiseVar())
-	nSafe := 0
-	for i := range a.grid {
-		ok := a.opts.DisableSafeSet
-		if !ok {
-			informed := a.sigma[gpDelay][i] < informedSigma && a.sigma[gpMAP][i] < informedSigma
-			ok = informed &&
-				a.mu[gpDelay][i]+a.opts.SafeBeta*predSigma(a.sigma[gpDelay][i], zetaD) <= dmax &&
-				a.mu[gpMAP][i]-a.opts.SafeBeta*a.sigma[gpMAP][i] >= rmin
-		}
-		a.safe[i] = ok
-		if ok {
-			nSafe++
-		}
-	}
-	// S_t always contains S₀ (eq. 8 / Algorithm 1 line 6). A seed is
-	// nevertheless *retired from selection* — though it still counts as
-	// safe — once the posterior has actually learned about it
-	// (σ well below the prior) and its mean violates a constraint:
-	// S₀ membership encodes the operator's prior belief, and repeatedly
-	// re-picking a seed that measurements show to be infeasible would lock
-	// the agent onto a violating configuration whenever that seed is also
-	// the cost minimizer.
-	for _, gi := range a.safeSeedIx {
-		if a.safe[gi] {
-			continue
-		}
-		nSafe++
-		retired := meanViolates(gi) &&
-			a.sigma[gpDelay][gi] < seedRetireSigma && a.sigma[gpMAP][gi] < seedRetireSigma
-		a.safe[gi] = !retired
-	}
-
-	pick := func() (int, float64) {
-		if a.opts.Rule == AcquisitionSafeOpt {
-			return a.pickSafeOpt(dmax, rmin)
-		}
-		best := -1
-		bestLCB := math.Inf(1)
-		for i := range a.grid {
-			if !a.safe[i] {
-				continue
-			}
-			lcb := a.mu[gpCost][i] - a.opts.AcqBeta*a.sigma[gpCost][i]
-			if lcb < bestLCB {
-				bestLCB = lcb
-				best = i
-			}
-		}
-		return best, bestLCB
-	}
-	best, bestLCB := pick()
-	if best < 0 {
-		// Every seed retired and nothing certified: the problem looks
-		// infeasible. Fall back to the least-violating seed by posterior
-		// mean — the §5 "Practical Issues" behaviour of staying within S₀.
-		bestScore := math.Inf(1)
-		for _, gi := range a.safeSeedIx {
-			score := math.Max(a.mu[gpDelay][gi]-dmax, 0) + math.Max(rmin-a.mu[gpMAP][gi], 0)
-			if score < bestScore {
-				bestScore = score
-				best = gi
-			}
-		}
-		bestLCB = a.mu[gpCost][best] - a.opts.AcqBeta*a.sigma[gpCost][best]
-	}
-
-	// The winner came from the seed fallback when it fails the learned
-	// safety test on its own merits.
-	fromSeed := a.mu[gpDelay][best]+a.opts.SafeBeta*a.sigma[gpDelay][best] > dmax ||
-		a.mu[gpMAP][best]-a.opts.SafeBeta*a.sigma[gpMAP][best] < rmin
-
-	// The sweep's sharding decision is driven by the basis size: training
-	// rows for the exact engine, inducing points for the sparse one.
-	basis := a.gps[gpDelay].Len()
-	if a.gps[gpDelay].IsSparse() {
-		basis = a.gps[gpDelay].InducingLen()
-	}
-	resolvedWorkers := gp.ResolveWorkers(basis, len(a.grid), workers)
-	info := SelectionInfo{
-		SafeSetSize:         nSafe,
-		FromSeed:            fromSeed,
-		CandidatesEvaluated: len(a.grid),
-		LCB:                 bestLCB,
-		Cost:                Posterior{Mean: a.mu[gpCost][best], Sigma: a.sigma[gpCost][best]},
-		Delay:               Posterior{Mean: a.mu[gpDelay][best], Sigma: a.sigma[gpDelay][best]},
-		MAP:                 Posterior{Mean: a.mu[gpMAP][best], Sigma: a.sigma[gpMAP][best]},
-		Workers:             resolvedWorkers,
-		SweepSeconds:        time.Since(start).Seconds(),
-	}
-	a.met.safeSize.Set(float64(nSafe))
-	a.met.lcb.Set(bestLCB)
-	a.met.sweep.Observe(info.SweepSeconds)
-	a.met.acqCandidates.Add(uint64(len(a.grid)))
-	a.met.acqLatency.Observe(info.SweepSeconds)
-	if fromSeed {
-		a.met.seedFallback.Inc()
-	}
-	a.lastInfo = info
-	return a.grid[best], info
-}
-
-// pickSafeOpt implements the SafeOpt-style acquisition over the current
-// safe set: among the potential minimizers (points whose cost LCB beats
-// the best cost UCB) and the expanders (safe points whose confidence
-// interval straddles a constraint boundary neighbourhood), sample the one
-// with the largest overall uncertainty.
-func (a *Agent) pickSafeOpt(dmax, rmin float64) (int, float64) {
-	bestUCB := math.Inf(1)
-	for i := range a.grid {
-		if !a.safe[i] {
-			continue
-		}
-		if ucb := a.mu[gpCost][i] + a.opts.AcqBeta*a.sigma[gpCost][i]; ucb < bestUCB {
-			bestUCB = ucb
-		}
-	}
-	// Expander neighbourhood: within this many σ-units of a boundary.
-	const edge = 0.5
-	best := -1
-	bestUnc := -1.0
-	var bestLCB float64
-	for i := range a.grid {
-		if !a.safe[i] {
-			continue
-		}
-		minimizer := a.mu[gpCost][i]-a.opts.AcqBeta*a.sigma[gpCost][i] <= bestUCB
-		expander := a.mu[gpDelay][i]+a.opts.SafeBeta*a.sigma[gpDelay][i] >= dmax-edge ||
-			a.mu[gpMAP][i]-a.opts.SafeBeta*a.sigma[gpMAP][i] <= rmin+edge
-		if !minimizer && !expander {
-			continue
-		}
-		unc := math.Max(a.sigma[gpCost][i], math.Max(a.sigma[gpDelay][i], a.sigma[gpMAP][i]))
-		if unc > bestUnc {
-			bestUnc = unc
-			best = i
-			bestLCB = a.mu[gpCost][i] - a.opts.AcqBeta*a.sigma[gpCost][i]
-		}
-	}
-	return best, bestLCB
+	return e.finish(start)
 }
 
 // Posterior is the agent's belief about one objective at a point.
@@ -1072,37 +803,67 @@ func (a *Agent) PosteriorAt(ctx Context, x Control) (cost, delay, mAP Posterior)
 
 // Observe runs lines 8–13 of Algorithm 1: it computes the cost from the
 // observed KPIs and appends the (context, control) → {u, d, ρ} samples to
-// the three GPs.
+// the three GPs (the two power GPs replace the cost GP in decomposed-cost
+// mode).
+//
+// Bad input is rejected whole: the control, the context, every KPI and
+// every normalized target are validated before the engine switch and
+// before any GP is touched, so an error leaves the agent exactly as it
+// was.
 func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
 	if err := x.Validate(); err != nil {
 		return err
+	}
+	if !finite(ctx.MeanCQI) || !finite(ctx.VarCQI) {
+		return fmt.Errorf("core: non-finite context %+v", ctx)
+	}
+	if !finite(k.Delay) || !finite(k.GPUDelay) || !finite(k.MAP) || !finite(k.ServerPower) || !finite(k.BSPower) {
+		return fmt.Errorf("core: non-finite KPIs %+v", k)
+	}
+	z := Features(ctx, x)
+	for _, v := range z {
+		if !finite(v) {
+			return fmt.Errorf("core: non-finite feature in %v", z)
+		}
+	}
+	type sample struct {
+		g    *gp.GP
+		name string
+		y    float64
+	}
+	var buf [4]sample
+	samples := buf[:0]
+	n := a.opts.Norm
+	if a.opts.DecomposedCost {
+		samples = append(samples,
+			sample{a.powerGPs[0], powerObjectiveNames[0], n.ServerPower.Norm(k.ServerPower)},
+			sample{a.powerGPs[1], powerObjectiveNames[1], n.BSPower.Norm(k.BSPower)})
+	} else {
+		samples = append(samples, sample{a.gps[gpCost], objectiveNames[gpCost], n.Cost.Norm(a.opts.Weights.Cost(k))})
+	}
+	samples = append(samples,
+		sample{a.gps[gpDelay], objectiveNames[gpDelay], n.Delay.Norm(k.Delay)},
+		sample{a.gps[gpMAP], objectiveNames[gpMAP], n.MAP.Norm(k.MAP)})
+	for _, s := range samples {
+		if !finite(s.y) {
+			return fmt.Errorf("core: non-finite %s target %v", s.name, s.y)
+		}
 	}
 	// EngineAuto: convert to the sparse engine once the period counter
 	// crosses the threshold. The condition is stateless — it reads only
 	// the current engine and t — so a run restored from a post-switch
 	// checkpoint (already sparse) and a restored pre-switch run (converts
-	// on its first post-threshold period) both behave correctly.
+	// on its first post-threshold period) both behave correctly. The
+	// conversion is in place, so the GPs gathered above stay valid.
 	if a.opts.Engine == EngineAuto && a.t >= a.opts.SparseSwitchAt && !a.gps[gpDelay].IsSparse() {
 		if err := a.switchToSparse(); err != nil {
 			return err
 		}
 	}
-	z := Features(ctx, x)
-	if a.opts.DecomposedCost {
-		if err := a.powerGPs[0].Add(z, a.opts.Norm.ServerPower.Norm(k.ServerPower)); err != nil {
-			return fmt.Errorf("core: server power GP: %w", err)
+	for _, s := range samples {
+		if err := s.g.Add(z, s.y); err != nil {
+			return fmt.Errorf("core: %s GP: %w", s.name, err)
 		}
-		if err := a.powerGPs[1].Add(z, a.opts.Norm.BSPower.Norm(k.BSPower)); err != nil {
-			return fmt.Errorf("core: BS power GP: %w", err)
-		}
-	} else if err := a.gps[gpCost].Add(z, a.opts.Norm.Cost.Norm(a.opts.Weights.Cost(k))); err != nil {
-		return fmt.Errorf("core: cost GP: %w", err)
-	}
-	if err := a.gps[gpDelay].Add(z, a.opts.Norm.Delay.Norm(k.Delay)); err != nil {
-		return fmt.Errorf("core: delay GP: %w", err)
-	}
-	if err := a.gps[gpMAP].Add(z, a.opts.Norm.MAP.Norm(k.MAP)); err != nil {
-		return fmt.Errorf("core: mAP GP: %w", err)
 	}
 	a.t++
 	a.met.periods.Inc()
@@ -1110,6 +871,9 @@ func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
 	a.emitPeriod(ctx, x, k)
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // emitPeriod streams one telemetry.PeriodRecord combining the Observe
 // arguments with the diagnostics of the preceding SelectControl. When the

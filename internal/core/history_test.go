@@ -64,6 +64,7 @@ func TestSeedHistoryBitwiseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, donor)
 		lived = append(lived, livedPeriod{ctx: c, x: x, k: k})
 	}
 	pool := donor.History(0)
@@ -77,12 +78,14 @@ func TestSeedHistoryBitwiseEquivalence(t *testing.T) {
 		if err := direct.Observe(p.ctx, p.x, p.k); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, direct)
 	}
 	// Fresh agent B is seeded from the exported pool.
 	warm := newTestAgent(t, cons)
 	if err := warm.SeedHistory(pool); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, warm)
 
 	if warm.Observations() != direct.Observations() {
 		t.Fatalf("seeded t = %d, observed t = %d", warm.Observations(), direct.Observations())

@@ -1,35 +1,43 @@
 package core
 
 import (
-	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gp"
 )
 
-// opaqueKernel hides the concrete kernel type from gp.NewSweepPlan, forcing
-// an agent built with it onto the generic PosteriorBatch path while
-// computing exactly the same covariances.
+// opaqueKernel hides the concrete kernel type from gp.NewSweepPlan while
+// computing exactly the same covariances as the Matérn-3/2 it wraps.
 type opaqueKernel struct{ gp.Kernel }
 
 func opaqueMatern32(ls []float64) gp.Kernel { return &opaqueKernel{gp.NewMatern32(ls)} }
 
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-func controlsBitwiseEqual(a, b Control) bool {
-	return sameBits(a.Resolution, b.Resolution) && sameBits(a.Airtime, b.Airtime) &&
-		sameBits(a.GPUSpeed, b.GPUSpeed) && sameBits(a.MCS, b.MCS)
-}
-
-func posteriorsBitwiseEqual(a, b Posterior) bool {
-	return sameBits(a.Mean, b.Mean) && sameBits(a.Sigma, b.Sigma)
+// TestNewAgentRejectsForeignKernel pins the kernel contract: every
+// objective sweeps through a gp.SweepPlan, so a KernelFactory returning
+// anything but a package kernel is refused at construction, with the
+// offending type named.
+func TestNewAgentRejectsForeignKernel(t *testing.T) {
+	for _, decomposed := range []bool{false, true} {
+		opts := testOptions()
+		opts.DecomposedCost = decomposed
+		opts.KernelFactory = opaqueMatern32
+		a, err := NewAgent(opts)
+		if err == nil || a != nil {
+			t.Fatalf("decomposed=%v: NewAgent accepted a foreign kernel", decomposed)
+		}
+		if !strings.Contains(err.Error(), "opaqueKernel") {
+			t.Fatalf("decomposed=%v: error %q does not name the kernel type", decomposed, err)
+		}
+	}
 }
 
 // TestAgentSweepPlanMatchesGeneric pins the agent-level contract of the grid
 // sweep engine: an agent whose objectives sweep through SweepPlans selects
 // bitwise-identical controls — with bitwise-identical posteriors and
-// diagnostics — to one forced onto the generic path, across worker counts,
-// cost decomposition, and sliding-window evictions.
+// diagnostics — to the oracle that evaluates the enumerated grid through
+// the generic PosteriorBatch path, across worker counts, cost
+// decomposition, sliding-window evictions, and varying contexts.
 func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -46,32 +54,20 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(factory gp.KernelFactory) *Agent {
-				a, err := NewAgent(Options{
-					Grid:             testGrid(),
-					Weights:          CostWeights{Delta1: 1, Delta2: 1},
-					Constraints:      Constraints{MaxDelay: 0.9, MinMAP: 0.3},
-					Norm:             quadNorm(),
-					NoiseVars:        [3]float64{1e-4, 1e-4, 1e-4},
-					KernelFactory:    factory,
-					InferenceWorkers: tc.workers,
-					DecomposedCost:   tc.decomposed,
-					MaxObservations:  tc.maxObs,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return a
+			a, err := NewAgent(Options{
+				Grid:             testGrid(),
+				Weights:          CostWeights{Delta1: 1, Delta2: 1},
+				Constraints:      Constraints{MaxDelay: 0.9, MinMAP: 0.3},
+				Norm:             quadNorm(),
+				NoiseVars:        [3]float64{1e-4, 1e-4, 1e-4},
+				InferenceWorkers: tc.workers,
+				DecomposedCost:   tc.decomposed,
+				MaxObservations:  tc.maxObs,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			planned := build(gp.Matern32Factory)
-			generic := build(opaqueMatern32)
-			if planned.needsGenericSweep() {
-				t.Fatal("default factory should give every objective a sweep plan")
-			}
-			if !generic.needsGenericSweep() {
-				t.Fatal("opaque kernel should defeat plan construction")
-			}
-
+			oracle := newSelectOracle(t, testGrid())
 			env := &quadEnv{}
 			const steps = 35
 			for i := 0; i < steps; i++ {
@@ -82,32 +78,19 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 					MeanCQI:  10 + float64(i%5),
 					VarCQI:   float64(i%4) / 2,
 				}
-				xp, ip := planned.SelectControl(ctx)
-				xg, ig := generic.SelectControl(ctx)
-				if !controlsBitwiseEqual(xp, xg) {
-					t.Fatalf("step %d: plan selected %+v, generic %+v", i, xp, xg)
-				}
-				if !posteriorsBitwiseEqual(ip.Cost, ig.Cost) ||
-					!posteriorsBitwiseEqual(ip.Delay, ig.Delay) ||
-					!posteriorsBitwiseEqual(ip.MAP, ig.MAP) {
-					t.Fatalf("step %d: posterior mismatch: plan %+v, generic %+v", i, ip, ig)
-				}
-				if !sameBits(ip.LCB, ig.LCB) || ip.SafeSetSize != ig.SafeSetSize ||
-					ip.FromSeed != ig.FromSeed || ip.Workers != ig.Workers {
-					t.Fatalf("step %d: diagnostics mismatch: plan %+v, generic %+v", i, ip, ig)
-				}
+				xo, io := oracle.selectControl(a, ctx)
+				xp, ip := a.SelectControl(ctx)
+				requireOracleMatch(t, i, xp, ip, xo, io)
 				k, err := env.Measure(xp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := planned.Observe(ctx, xp, k); err != nil {
+				if err := a.Observe(ctx, xp, k); err != nil {
 					t.Fatal(err)
 				}
-				if err := generic.Observe(ctx, xg, k); err != nil {
-					t.Fatal(err)
-				}
+				checkInvariants(t, a)
 			}
-			if tc.maxObs > 0 && planned.gps[gpDelay].Evictions() == 0 {
+			if tc.maxObs > 0 && a.gps[gpDelay].Evictions() == 0 {
 				t.Fatal("eviction case never evicted: the rebuild path went unexercised")
 			}
 		})

@@ -24,10 +24,10 @@ func sparseSweepTestGP(t *testing.T, ctxDims, ctrlDims, n int, seed int64) *GP {
 	return g
 }
 
-// TestSweepSubsetMatchesSweep pins the adaptive acquisition's contract:
+// TestSweepSubsetMatchesSweep pins the budgeted acquisition's contract:
 // SweepSubset over an arbitrary index list — unsorted, duplicated,
-// tile-misaligned — reproduces the full Sweep's output at those indices
-// bitwise, for every worker count, on both engines.
+// tile-misaligned — reproduces the full-grid sweep (the identity index
+// list) at those indices bitwise, for every worker count, on both engines.
 func TestSweepSubsetMatchesSweep(t *testing.T) {
 	shapes := []struct {
 		ctxDims int
@@ -61,7 +61,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 				size := p.GridSize()
 				refMu := make([]float64, size)
 				refSigma := make([]float64, size)
-				p.Sweep(ctx, refMu, refSigma, 1)
+				p.SweepSubset(ctx, gridIndices(size), refMu, refSigma, 1)
 
 				subsets := [][]int32{
 					{},                                    // empty subset is a no-op

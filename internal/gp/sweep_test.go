@@ -68,8 +68,18 @@ func addSweepObs(t *testing.T, g *GP, n int, rng *rand.Rand) {
 	}
 }
 
-// requireSweepMatches asserts that the plan's sweep reproduces the generic
-// engine bitwise under every worker count.
+// gridIndices returns the identity index list 0..n-1: SweepSubset over it
+// sweeps the whole grid in enumeration order.
+func gridIndices(n int) []int32 {
+	idxs := make([]int32, n)
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return idxs
+}
+
+// requireSweepMatches asserts that the plan's full-grid sweep reproduces
+// the generic engine bitwise under every worker count.
 func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, levels [][]float64) {
 	t.Helper()
 	feats := enumerateGrid(ctx, levels)
@@ -82,7 +92,7 @@ func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, level
 	for _, workers := range []int{1, 0, 2, 3, 8} {
 		mu := make([]float64, len(feats))
 		sigma := make([]float64, len(feats))
-		p.Sweep(ctx, mu, sigma, workers)
+		p.SweepSubset(ctx, gridIndices(len(feats)), mu, sigma, workers)
 		for i := range feats {
 			if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
 				t.Fatalf("workers=%d grid point %d: plan (%x, %x), generic (%x, %x)",
@@ -181,7 +191,7 @@ func TestSweepPlanEmptyGP(t *testing.T) {
 // opaque wraps a kernel to defeat the plan's concrete-type dispatch.
 type opaque struct{ Kernel }
 
-// TestNewSweepPlanErrors covers the fallback-triggering constructor errors.
+// TestNewSweepPlanErrors covers the constructor's rejections.
 func TestNewSweepPlanErrors(t *testing.T) {
 	g := New(NewMatern32([]float64{0.5, 0.5, 0.5}), 1e-3, 0)
 	levels := sweepLevels([]int{3, 4})
@@ -230,10 +240,11 @@ func TestSweepPlanTelemetry(t *testing.T) {
 	ctx := []float64{0.5}
 	mu := make([]float64, p.GridSize())
 	sigma := make([]float64, p.GridSize())
+	all := gridIndices(p.GridSize())
 	rng := rand.New(rand.NewSource(5))
 
 	addSweepObs(t, g, 2, rng)
-	p.Sweep(ctx, mu, sigma, 1)
+	p.SweepSubset(ctx, all, mu, sigma, 1)
 	if got := refreshes.Value(); got != 1 {
 		t.Fatalf("refreshes %d after append, want 1", got)
 	}
@@ -245,7 +256,7 @@ func TestSweepPlanTelemetry(t *testing.T) {
 	if g.Evictions() == 0 {
 		t.Fatal("expected an eviction")
 	}
-	p.Sweep(ctx, mu, sigma, 1)
+	p.SweepSubset(ctx, all, mu, sigma, 1)
 	if got := builds.Value(); got != 1 {
 		t.Fatalf("builds %d after eviction (construction-time build is uninstrumented), want 1", got)
 	}

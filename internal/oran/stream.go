@@ -153,6 +153,11 @@ func (s *KPIStreamServer) serve(conn net.Conn) {
 	if err != nil || req.Type != TypeE2Subscribe {
 		return
 	}
+	// Register with the data plane before acknowledging: a client that sees
+	// the ack may immediately trigger a period, and its report must already
+	// have a subscriber to land on.
+	ch, cancel := s.dp.Subscribe()
+	defer cancel()
 	ack, err := NewMessage(TypeAck, Ack{OK: true})
 	if err != nil {
 		return
@@ -160,8 +165,6 @@ func (s *KPIStreamServer) serve(conn net.Conn) {
 	if err := WriteFrame(conn, ack); err != nil {
 		return
 	}
-	ch, cancel := s.dp.Subscribe()
-	defer cancel()
 	// A read loop in the background turns a peer disconnect into a conn
 	// error immediately, so an idle subscriber's departure is noticed.
 	peerGone := make(chan struct{})

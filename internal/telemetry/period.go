@@ -40,7 +40,7 @@ type PeriodRecord struct {
 	// AcqMode is the resolved acquisition engine ("exhaustive" or
 	// "adaptive"); CandidatesEvaluated counts grid points whose posterior
 	// was computed this period, and RefineRounds the multigrid refinement
-	// rounds of the adaptive engine (0 when exhaustive).
+	// rounds of the budgeted search (0 at full coverage).
 	AcqMode             string
 	CandidatesEvaluated int
 	RefineRounds        int
