@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/gp"
@@ -102,11 +101,11 @@ type acqEngine struct {
 	dimN       [ControlDims]int
 	strideFlat [ControlDims]int
 
-	// Per-slot candidate state, evaluation-ordered.
+	// Per-slot candidate state, evaluation-ordered. mu and sigma are
+	// indexed by objective (gpCost…objBSPower); the power entries exist
+	// under DecomposedCost only.
 	idx       []int32
-	mu, sigma [numGPs][]float64
-	powMu     [2][]float64
-	powSigma  [2][]float64
+	mu, sigma [numObjectives][]float64
 	lcb       []float64
 	rank      []uint8 // 0 safe, 1 informed-unsafe, 2 uninformed
 	safe      []bool
@@ -178,14 +177,11 @@ func newAcqEngine(a *Agent) *acqEngine {
 	}
 	e.idx = make([]int32, e.maxEval)
 	for i := range e.mu {
+		if i >= numGPs && !a.opts.DecomposedCost {
+			break
+		}
 		e.mu[i] = make([]float64, e.maxEval)
 		e.sigma[i] = make([]float64, e.maxEval)
-	}
-	if a.opts.DecomposedCost {
-		for i := range e.powMu {
-			e.powMu[i] = make([]float64, e.maxEval)
-			e.powSigma[i] = make([]float64, e.maxEval)
-		}
 	}
 	e.lcb = make([]float64, e.maxEval)
 	e.rank = make([]uint8, e.maxEval)
@@ -539,9 +535,11 @@ func (e *acqEngine) flood() {
 }
 
 // flush evaluates the pending candidates [done, n): one SweepSubset batch
-// per objective through its factorized plan, the decomposed-cost
-// combination, and the safety/LCB scoring. During the flood, newly scored
-// slots join the priority queue.
+// per kernel-group plan — each builds every candidate's cross-covariance
+// column once, solves it against each member GP, and shards its own work
+// across the inference workers — then the decomposed-cost combination and
+// the safety/LCB scoring. During the flood, newly scored slots join the
+// priority queue.
 func (e *acqEngine) flush() {
 	lo, hi := e.done, e.n
 	if lo == hi {
@@ -549,34 +547,14 @@ func (e *acqEngine) flush() {
 	}
 	a := e.a
 	idxs := e.idx[lo:hi]
-	// The per-objective batches are independent — each reads its own
-	// plan's distance tables and writes only its own output slices, and
-	// the GP read path holds no mutable state — so they run concurrently,
-	// each internally sharded across workers.
-	var wg sync.WaitGroup
-	sweep := func(plan *gp.SweepPlan, mu, sigma []float64) {
-		if e.workers == 1 {
-			plan.SweepSubset(e.cf, idxs, mu, sigma, 1)
-			return
+	for k := range a.plans {
+		grp := &a.plans[k]
+		for j, o := range grp.objs {
+			grp.mu[j] = e.mu[o][lo:hi]
+			grp.sigma[j] = e.sigma[o][lo:hi]
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			plan.SweepSubset(e.cf, idxs, mu, sigma, e.workers)
-		}()
+		grp.plan.SweepSubset(e.cf, idxs, grp.mu, grp.sigma, e.workers)
 	}
-	for i := range a.gps {
-		if i == gpCost && a.opts.DecomposedCost {
-			continue
-		}
-		sweep(a.plans[i], e.mu[i][lo:hi], e.sigma[i][lo:hi])
-	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			sweep(a.powPlans[i], e.powMu[i][lo:hi], e.powSigma[i][lo:hi])
-		}
-	}
-	wg.Wait()
 	if a.opts.DecomposedCost {
 		// Combine the power posteriors into a cost posterior in raw
 		// monetary units (only the ranking matters for the acquisition):
@@ -585,11 +563,11 @@ func (e *acqEngine) flush() {
 		w := a.opts.Weights
 		nm := a.opts.Norm
 		for s := lo; s < hi; s++ {
-			ps := e.powMu[0][s]*nm.ServerPower.Scale + nm.ServerPower.Center
-			pb := e.powMu[1][s]*nm.BSPower.Scale + nm.BSPower.Center
+			ps := e.mu[objServerPower][s]*nm.ServerPower.Scale + nm.ServerPower.Center
+			pb := e.mu[objBSPower][s]*nm.BSPower.Scale + nm.BSPower.Center
 			e.mu[gpCost][s] = w.Delta1*ps + w.Delta2*pb
-			ss := w.Delta1 * nm.ServerPower.Scale * e.powSigma[0][s]
-			sb := w.Delta2 * nm.BSPower.Scale * e.powSigma[1][s]
+			ss := w.Delta1 * nm.ServerPower.Scale * e.sigma[objServerPower][s]
+			sb := w.Delta2 * nm.BSPower.Scale * e.sigma[objBSPower][s]
 			e.sigma[gpCost][s] = math.Sqrt(ss*ss + sb*sb)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,35 +21,86 @@ func benchAgentEngine(b *testing.B, t int, engine EngineSelector) (*Agent, Conte
 // (GridSpec.At), never materializing the grid — the multi-million-point
 // adaptive variants would not appreciate a 7.4M-element warm-up slice.
 func benchAgentGrid(b *testing.B, t int, spec GridSpec, mode AcquisitionMode, engine EngineSelector) (*Agent, Context) {
-	b.Helper()
-	opts := Options{
+	return benchAgentOpts(b, t, benchOptions(spec, mode, engine))
+}
+
+// benchOptions is the benchmark agents' configuration: the paper's cost
+// weights and service constraints on the given grid, engine and mode.
+func benchOptions(spec GridSpec, mode AcquisitionMode, engine EngineSelector) Options {
+	return Options{
 		Grid:        spec,
 		Weights:     CostWeights{Delta1: 1, Delta2: 8},
 		Constraints: Constraints{MaxDelay: 0.4, MinMAP: 0.5},
 		Engine:      engine,
 		Acquisition: mode,
 	}
+}
+
+// benchAgentOpts builds an agent from opts and feeds it t seeded synthetic
+// observations; it returns the agent and the context the benchmarks
+// select in.
+func benchAgentOpts(tb testing.TB, t int, opts Options) (*Agent, Context) {
+	tb.Helper()
 	a, err := NewAgent(opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
-	size := spec.Size()
 	for i := 0; i < t; i++ {
-		ctx := Context{NumUsers: 1 + rng.Intn(4), MeanCQI: 8 + 7*rng.Float64(), VarCQI: 3 * rng.Float64()}
-		x := spec.At(rng.Intn(size))
-		k := KPIs{
-			Delay:       0.15 + 0.3*rng.Float64(),
-			GPUDelay:    0.05 + 0.1*rng.Float64(),
-			MAP:         0.45 + 0.25*rng.Float64(),
-			ServerPower: 80 + 120*rng.Float64(),
-			BSPower:     4.5 + 3*rng.Float64(),
-		}
+		ctx, x, k := benchObservation(rng, opts.Grid)
 		if err := a.Observe(ctx, x, k); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return a, Context{NumUsers: 2, MeanCQI: 12, VarCQI: 1.5}
+}
+
+// benchObservation draws one synthetic period: a random context, a random
+// grid control, and KPIs in the testbed's ranges.
+func benchObservation(rng *rand.Rand, spec GridSpec) (Context, Control, KPIs) {
+	ctx := Context{NumUsers: 1 + rng.Intn(4), MeanCQI: 8 + 7*rng.Float64(), VarCQI: 3 * rng.Float64()}
+	x := spec.At(rng.Intn(spec.Size()))
+	k := KPIs{
+		Delay:       0.15 + 0.3*rng.Float64(),
+		GPUDelay:    0.05 + 0.1*rng.Float64(),
+		MAP:         0.45 + 0.25*rng.Float64(),
+		ServerPower: 80 + 120*rng.Float64(),
+		BSPower:     4.5 + 3*rng.Float64(),
+	}
+	return ctx, x, k
+}
+
+// BenchmarkObserve measures one Observe — the GP update of lines 8–13 of
+// Algorithm 1 on all three objective GPs — on the paper's 11⁴ grid at
+// history t. Every iteration restores the same t-observation agent from a
+// checkpoint (untimed), so each timed Observe appends observation t+1.
+// Observe leaves the sweep plan alone: its distance tables pick up the
+// new row at the next sweep, once per kernel group.
+func BenchmarkObserve(b *testing.B) {
+	for _, t := range []int{50, 200} {
+		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
+			opts := benchOptions(DefaultGridSpec(), AcqAuto, EngineExact)
+			a, _ := benchAgentOpts(b, t, opts)
+			var buf bytes.Buffer
+			if err := a.SaveCheckpoint(&buf); err != nil {
+				b.Fatal(err)
+			}
+			ckpt := buf.Bytes()
+			ctx, x, k := benchObservation(rand.New(rand.NewSource(7)), opts.Grid)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a, err := LoadCheckpoint(bytes.NewReader(ckpt), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := a.Observe(ctx, x, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // benchExactCap is the largest history the exact-engine benchmark runs

@@ -612,6 +612,9 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 			}
 		}
 	}
+	if err := a.checkPlanBases(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
+	}
 	// The safe-set section is ancillary: restore it into the full-coverage
 	// slot mask when intact, recompute otherwise — SelectControl rebuilds
 	// it from posteriors every period. Adaptive agents skip it entirely.

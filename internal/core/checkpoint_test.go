@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -394,5 +395,54 @@ func TestLoadCheckpointRejectsUnknownCriticalSection(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(bytes.NewReader(withExtra("zzzz")), opts); err != nil {
 		t.Fatalf("unknown ancillary section rejected: %v", err)
+	}
+}
+
+// TestLoadCheckpointRejectsDivergedPlanMembers splices the mAP section of
+// a longer run into a checkpoint: every section is well-formed, but the
+// restored GPs of one sweep plan no longer share a basis. LoadCheckpoint
+// must refuse it, naming the GP, rather than hand back an agent whose
+// next SelectControl would stop on the diverged plan.
+func TestLoadCheckpointRejectsDivergedPlanMembers(t *testing.T) {
+	opts := testOptions()
+	sections := func(periods int) []checkpoint.Section {
+		a, err := NewAgent(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < periods; i++ {
+			ctx := scriptContext(i)
+			x, _ := a.SelectControl(ctx)
+			if err := a.Observe(ctx, x, scriptKPIs(i, x)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := a.SaveCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		arch, err := checkpoint.DecodeBytes(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arch.Sections
+	}
+	secs, longer := sections(6), sections(7)
+	for i := range secs {
+		if secs[i].Tag == gpTags[gpMAP] {
+			for _, l := range longer {
+				if l.Tag == gpTags[gpMAP] {
+					secs[i] = l
+				}
+			}
+		}
+	}
+	var out bytes.Buffer
+	if err := checkpoint.Encode(&out, secs); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCheckpoint(&out, opts)
+	if !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "map GP") {
+		t.Fatalf("diverged plan members: got %v, want a mismatch naming the map GP", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/gp"
@@ -150,10 +151,12 @@ type Options struct {
 	// O(t²) per-candidate cost dominates a control period.
 	SparseSwitchAt int
 	// InferenceWorkers is the degree of parallelism of the per-period
-	// posterior sweep: each objective's batched posterior is sharded across
-	// this many goroutines, and the objectives themselves run concurrently.
-	// 0 selects GOMAXPROCS; 1 runs the whole sweep serially on the calling
-	// goroutine. Selected controls are bitwise identical for every setting.
+	// posterior sweep: each sweep plan (one per group of objective GPs
+	// that share a kernel; one in total by default) shards its candidates
+	// across this many goroutines, and the plans run in turn. 0 scales
+	// the count with the work, up to GOMAXPROCS; 1 runs the whole sweep
+	// serially on the calling goroutine. Selected controls are bitwise
+	// identical for every setting.
 	InferenceWorkers int
 	// DisableSafeSet turns off the eq. 8 safety filter, reducing EdgeBOL
 	// to plain contextual LCB minimization over the whole grid — the
@@ -410,6 +413,16 @@ const (
 	numGPs
 )
 
+// objServerPower and objBSPower extend the GP indices to every objective
+// the agent can sweep: under DecomposedCost the server and BS power GPs
+// replace the cost GP in the sweep. The acquisition engine's slot
+// posteriors are indexed the same way.
+const (
+	objServerPower = numGPs + iota
+	objBSPower
+	numObjectives
+)
+
 // Agent is the EdgeBOL learner (Algorithm 1). It is not safe for
 // concurrent use.
 type Agent struct {
@@ -427,12 +440,14 @@ type Agent struct {
 	// powerGPs learn p_s (0) and p_b (1) in decomposed-cost mode.
 	powerGPs [2]*gp.GP
 
-	// plans are the per-objective grid sweep engines: distance tables over
-	// the grid levels that turn each period's cross-covariance into table
-	// lookups plus a per-training-point context scalar. Every objective has
-	// one: NewAgent refuses kernels the plan cannot factorize.
-	plans    [numGPs]*gp.SweepPlan
-	powPlans [2]*gp.SweepPlan
+	// plans are the grid sweep engines, one per kernel group: the swept
+	// objectives whose GPs share a kernel (equal length scales) share one
+	// gp.SweepPlan, whose distance tables turn each period's
+	// cross-covariance column into table lookups plus a per-basis-row
+	// context scalar, built once per candidate for the whole group. With
+	// default options that is one plan over the cost, delay and mAP GPs.
+	// NewAgent refuses kernels the plan cannot factorize.
+	plans []sweepGroup
 
 	safeSeedIx []int // indices of seed controls within the grid
 	t          int
@@ -470,6 +485,16 @@ type agentMetrics struct {
 	ckptRestoreBytes *telemetry.Gauge
 	ckptSaveLat      *telemetry.Histogram
 	ckptRestoreLat   *telemetry.Histogram
+}
+
+// sweepGroup is one sweep plan with the objectives it fills: member k of
+// plan writes the slot posteriors of objective objs[k] (a gpCost…objBSPower
+// index). mu and sigma are per-flush views into those slot arrays, kept to
+// spare the flush an allocation.
+type sweepGroup struct {
+	plan      *gp.SweepPlan
+	objs      []int
+	mu, sigma [][]float64
 }
 
 // SelectionInfo reports diagnostics from one acquisition step.
@@ -526,11 +551,7 @@ func NewAgent(opts Options) (*Agent, error) {
 		return gp.New(opts.KernelFactory(ls), noiseVar, opts.MaxObservations), nil
 	}
 	for i := range a.gps {
-		ls := opts.LengthScales
-		if perGP := opts.LengthScalesPerGP[i]; perGP != nil {
-			ls = perGP
-		}
-		g, err := newGP(ls, opts.NoiseVars[i])
+		g, err := newGP(a.lengthScales(i), opts.NoiseVars[i])
 		if err != nil {
 			return nil, err
 		}
@@ -538,12 +559,8 @@ func NewAgent(opts Options) (*Agent, error) {
 		a.gps[i].Instrument(opts.Telemetry, objectiveNames[i])
 	}
 	if opts.DecomposedCost {
-		ls := opts.LengthScales
-		if perGP := opts.LengthScalesPerGP[gpCost]; perGP != nil {
-			ls = perGP
-		}
 		for i := range a.powerGPs {
-			g, err := newGP(ls, opts.PowerNoiseVars[i])
+			g, err := newGP(a.lengthScales(objServerPower+i), opts.PowerNoiseVars[i])
 			if err != nil {
 				return nil, err
 			}
@@ -551,7 +568,7 @@ func NewAgent(opts Options) (*Agent, error) {
 			a.powerGPs[i].Instrument(opts.Telemetry, powerObjectiveNames[i])
 		}
 	}
-	// One sweep plan per objective, built from the grid's level values.
+	// One sweep plan per kernel group, built from the grid's level values.
 	if err := a.buildPlans(); err != nil {
 		return nil, err
 	}
@@ -605,36 +622,111 @@ func (a *Agent) sparseConfig() gp.SparseConfig {
 	return gp.SparseConfig{MaxInducing: a.opts.InducingPoints}
 }
 
-// buildPlans (re)builds the per-objective grid sweep plans from the
-// grid's level values against each GP's current basis. A kernel the plan
-// cannot factorize — anything but the package's Matérn-3/2, Matérn-5/2
-// and RBF kernels — is an error naming its type.
+// lengthScales returns the effective length scales of objective o:
+// LengthScalesPerGP's entry when set, LengthScales otherwise. The power
+// GPs model the two parts of the cost and take the cost GP's.
+func (a *Agent) lengthScales(o int) []float64 {
+	i := o
+	if o >= numGPs {
+		i = gpCost
+	}
+	if ls := a.opts.LengthScalesPerGP[i]; ls != nil {
+		return ls
+	}
+	return a.opts.LengthScales
+}
+
+// objectiveGP returns the GP of objective o and its telemetry name.
+func (a *Agent) objectiveGP(o int) (*gp.GP, string) {
+	if o >= numGPs {
+		return a.powerGPs[o-numGPs], powerObjectiveNames[o-numGPs]
+	}
+	return a.gps[o], objectiveNames[o]
+}
+
+// sweptObjectives lists, in index order, the objectives whose posteriors
+// the acquisition sweeps: cost, delay and mAP, or — under DecomposedCost,
+// where the untrained cost GP is never swept — delay, mAP, server power
+// and BS power.
+func (a *Agent) sweptObjectives() []int {
+	if a.opts.DecomposedCost {
+		return []int{gpDelay, gpMAP, objServerPower, objBSPower}
+	}
+	return []int{gpCost, gpDelay, gpMAP}
+}
+
+// buildPlans (re)builds the grid sweep plans from the grid's level values
+// against the GPs' current bases. The swept objectives are grouped by
+// their effective length scales, compared bitwise: every objective GP
+// takes the same kernel type from KernelFactory and is fed the same
+// inputs, so a group shares one basis and one cross-covariance column per
+// candidate. A kernel the plan cannot factorize — anything but the
+// package's Matérn-3/2, Matérn-5/2 and RBF kernels — is an error naming
+// its type.
 func (a *Agent) buildPlans() error {
 	levelVals, err := a.opts.Grid.LevelValues()
 	if err != nil {
 		return err
 	}
-	build := func(g *gp.GP, objective string) (*gp.SweepPlan, error) {
-		plan, err := gp.NewSweepPlan(g, ContextDims, levelVals)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s GP: %w", objective, err)
+	a.plans = nil
+	var keys [][]float64
+	for _, o := range a.sweptObjectives() {
+		ls := a.lengthScales(o)
+		k := 0
+		for k < len(keys) && !bitsEqual(keys[k], ls) {
+			k++
 		}
-		plan.Instrument(a.opts.Telemetry, objective)
-		return plan, nil
-	}
-	for i := range a.gps {
-		if a.plans[i], err = build(a.gps[i], objectiveNames[i]); err != nil {
-			return err
+		if k == len(keys) {
+			keys = append(keys, ls)
+			a.plans = append(a.plans, sweepGroup{})
 		}
+		a.plans[k].objs = append(a.plans[k].objs, o)
 	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			if a.powPlans[i], err = build(a.powerGPs[i], powerObjectiveNames[i]); err != nil {
-				return err
+	for k := range a.plans {
+		grp := &a.plans[k]
+		members := make([]*gp.GP, len(grp.objs))
+		names := make([]string, len(grp.objs))
+		for j, o := range grp.objs {
+			members[j], names[j] = a.objectiveGP(o)
+		}
+		if grp.plan, err = gp.NewSweepPlan(members, ContextDims, levelVals); err != nil {
+			return fmt.Errorf("core: sweep plan over the %s GPs: %w", strings.Join(names, ", "), err)
+		}
+		grp.mu = make([][]float64, len(members))
+		grp.sigma = make([][]float64, len(members))
+	}
+	return nil
+}
+
+// checkPlanBases reports the first sweep-plan member whose basis size or
+// generation differs from its plan's first member — the state a plan
+// refuses to sweep. LoadCheckpoint uses it to reject a checkpoint whose
+// restored GPs disagree instead of failing at the next SelectControl.
+func (a *Agent) checkPlanBases() error {
+	for _, grp := range a.plans {
+		lead, lname := a.objectiveGP(grp.objs[0])
+		for _, o := range grp.objs[1:] {
+			g, name := a.objectiveGP(o)
+			if g.Len() != lead.Len() || g.Evictions() != lead.Evictions() ||
+				g.InducingLen() != lead.InducingLen() || g.InducingSwaps() != lead.InducingSwaps() {
+				return fmt.Errorf("%s GP basis differs from the %s GP's", name, lname)
 			}
 		}
 	}
 	return nil
+}
+
+// bitsEqual reports whether two length-scale vectors are bitwise equal.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // switchToSparse converts every GP to the inducing-point engine (replaying

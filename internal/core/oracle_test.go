@@ -198,9 +198,11 @@ func runOracleCase(t *testing.T, opts Options, periods int) {
 
 // checkInvariants asserts that the agent's learned state is consistent:
 // every GP the agent trains holds the same rows and has evicted in
-// lockstep, the cost GP of a decomposed-cost agent is untouched, and the
+// lockstep, the cost GP of a decomposed-cost agent is untouched, the
 // period counter accounts for every retained row — equal to it until the
-// first eviction, above it afterwards.
+// first eviction, above it afterwards — the members of every sweep plan
+// share one basis, and the last selection's posterior σ are within the
+// prior.
 func checkInvariants(t testing.TB, a *Agent) {
 	t.Helper()
 	trained := []*gp.GP{a.gps[gpDelay], a.gps[gpMAP]}
@@ -226,4 +228,63 @@ func checkInvariants(t testing.TB, a *Agent) {
 	case ev > 0 && !a.gps[gpDelay].IsSparse() && n > a.opts.MaxObservations:
 		t.Fatalf("%d retained rows above the bound %d", n, a.opts.MaxObservations)
 	}
+	checkPlanMembers(t, a)
+	checkSelectionSigmas(t, a)
+}
+
+// checkPlanMembers asserts that the members of every sweep plan share one
+// basis, as the plan's single cross-covariance column per candidate
+// requires: equal row counts, eviction counts and inducing-set sizes,
+// and, on the exact engine (where the training rows are the basis),
+// bitwise-equal training rows.
+func checkPlanMembers(t testing.TB, a *Agent) {
+	t.Helper()
+	for _, grp := range a.plans {
+		lead, lname := a.objectiveGP(grp.objs[0])
+		for _, o := range grp.objs[1:] {
+			g, name := a.objectiveGP(o)
+			if g.Len() != lead.Len() || g.Evictions() != lead.Evictions() || g.InducingLen() != lead.InducingLen() {
+				t.Fatalf("plan members %s and %s diverged: %d/%d/%d vs %d/%d/%d rows/evictions/inducing",
+					lname, name, lead.Len(), lead.Evictions(), lead.InducingLen(), g.Len(), g.Evictions(), g.InducingLen())
+			}
+			if g.IsSparse() {
+				continue
+			}
+			for i := 0; i < g.Len(); i++ {
+				lr, r := lead.TrainingRow(i), g.TrainingRow(i)
+				for j := range lr {
+					if math.Float64bits(lr[j]) != math.Float64bits(r[j]) {
+						t.Fatalf("plan members %s and %s: training row %d differs at feature %d: %x vs %x",
+							lname, name, i, j, lr[j], r[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkSelectionSigmas asserts that every posterior σ of the last
+// selection lies in [0, √prior]. Under DecomposedCost the cost σ is the
+// combination of the two power σ in raw monetary units, bounded by the
+// same combination of √prior.
+func checkSelectionSigmas(t testing.TB, a *Agent) {
+	t.Helper()
+	info := a.lastInfo
+	within := func(name string, s, bound float64) {
+		t.Helper()
+		if !(s >= 0 && s <= bound) {
+			t.Fatalf("last selection's %s σ %v outside [0, %v]", name, s, bound)
+		}
+	}
+	root := math.Sqrt(a.gps[gpDelay].Kernel().Prior())
+	within("delay", info.Delay.Sigma, root)
+	within("mAP", info.MAP.Sigma, root)
+	if !a.opts.DecomposedCost {
+		within("cost", info.Cost.Sigma, root)
+		return
+	}
+	w, nm := a.opts.Weights, a.opts.Norm
+	ss := w.Delta1 * nm.ServerPower.Scale * root
+	sb := w.Delta2 * nm.BSPower.Scale * root
+	within("cost", info.Cost.Sigma, math.Sqrt(ss*ss+sb*sb))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -94,5 +96,69 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 				t.Fatal("eviction case never evicted: the rebuild path went unexercised")
 			}
 		})
+	}
+}
+
+// TestAgentSweepPlanGroups pins the kernel grouping: the swept objectives
+// whose GPs share a kernel share one plan — one plan over cost, delay and
+// mAP by default, one over delay, mAP and both power GPs under
+// DecomposedCost (the untrained cost GP gets none) — while a per-GP length
+// scale that differs in any bit splits its objective off.
+func TestAgentSweepPlanGroups(t *testing.T) {
+	defaults := testOptions()
+	if err := defaults.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	distinct := append([]float64(nil), defaults.LengthScales...)
+	distinct[0] = math.Nextafter(distinct[0], 10)
+	cases := []struct {
+		name   string
+		mutate func(*Options)
+		want   [][]int
+	}{
+		{"default", func(*Options) {}, [][]int{{gpCost, gpDelay, gpMAP}}},
+		{"decomposed", func(o *Options) { o.DecomposedCost = true },
+			[][]int{{gpDelay, gpMAP, objServerPower, objBSPower}}},
+		{"equal per-GP scales", func(o *Options) {
+			o.LengthScalesPerGP[gpMAP] = append([]float64(nil), defaults.LengthScales...)
+		}, [][]int{{gpCost, gpDelay, gpMAP}}},
+		{"distinct mAP scales", func(o *Options) { o.LengthScalesPerGP[gpMAP] = distinct },
+			[][]int{{gpCost, gpDelay}, {gpMAP}}},
+		{"distinct cost scales, decomposed", func(o *Options) {
+			o.DecomposedCost = true
+			o.LengthScalesPerGP[gpCost] = distinct
+		}, [][]int{{gpDelay, gpMAP}, {objServerPower, objBSPower}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOptions()
+			tc.mutate(&opts)
+			a, err := NewAgent(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][]int, len(a.plans))
+			for k, grp := range a.plans {
+				got[k] = grp.objs
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("plan groups %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSelectControlAllocs is a host-independent performance gate: one
+// serial SelectControl on the paper's 11⁴ grid at t = 50 allocates a
+// fixed number of times — the sweep's per-shard tile buffers, once per
+// kernel group rather than once per objective. A regression that brings
+// back per-objective plans, or allocates per candidate, fails it.
+func TestSelectControlAllocs(t *testing.T) {
+	opts := benchOptions(DefaultGridSpec(), AcqAuto, EngineExact)
+	opts.InferenceWorkers = 1
+	a, ctx := benchAgentOpts(t, 50, opts)
+	const maxAllocs = 8
+	if got := testing.AllocsPerRun(3, func() { a.SelectControl(ctx) }); got > maxAllocs {
+		t.Fatalf("SelectControl allocated %v times per period, want at most %d", got, maxAllocs)
 	}
 }

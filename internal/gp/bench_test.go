@@ -177,14 +177,15 @@ func BenchmarkGridSweep(b *testing.B) {
 				g.PosteriorBatch(feats, mu, sigma, BatchOptions{Workers: 0})
 			}
 		})
-		plan, err := NewSweepPlan(g, 3, levels)
+		plan, err := NewSweepPlan([]*GP{g}, 3, levels)
 		if err != nil {
 			b.Fatal(err)
 		}
 		all := gridIndices(len(feats))
+		mus, sigmas := [][]float64{mu}, [][]float64{sigma}
 		b.Run(fmt.Sprintf("t=%d/engine=plan", t), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				plan.SweepSubset(ctx, all, mu, sigma, 0)
+				plan.SweepSubset(ctx, all, mus, sigmas, 0)
 			}
 		})
 	}

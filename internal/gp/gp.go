@@ -72,6 +72,12 @@ type gpMetrics struct {
 	evictionsCtr *telemetry.Counter
 	sweep        *telemetry.Histogram
 
+	// Series of the SweepPlan this GP is a member of: table rebuilds after
+	// construction, row appends, and the tabulated basis rows.
+	planBuilds    *telemetry.Counter
+	planRefreshes *telemetry.Counter
+	planRows      *telemetry.Gauge
+
 	// Sparse-engine series; nil (no-op) under the exact engine.
 	inducing   *telemetry.Gauge
 	insertsCtr *telemetry.Counter
@@ -156,8 +162,11 @@ func gram(k Kernel, noiseVar float64, xs []float64, n int) *linalg.Matrix {
 // the objective name (e.g. "cost", "delay", "map"): observation and
 // eviction counters plus the batched posterior-sweep latency histogram,
 // labeled with the active engine so sparse and exact sweep latencies land
-// in separate series. Under the sparse engine it additionally registers
-// the inducing-set gauge and insert/swap counters. Call it before
+// in separate series, and the series of the SweepPlan the GP is swept
+// through (table rebuild and refresh counters, tabulated-row gauge; a
+// plan shared by several GPs reports through each member's series). Under
+// the sparse engine it additionally registers the inducing-set gauge and
+// insert/swap counters. Call it before plan construction and before
 // concurrent use (and again after ConvertToSparse — registration is
 // idempotent per series); a nil registry leaves telemetry disabled at
 // zero cost on the inference hot path.
@@ -167,6 +176,9 @@ func (g *GP) Instrument(reg *telemetry.Registry, objective string) {
 		evictionsCtr: reg.Counter("edgebol_gp_evictions_total", "gp", objective),
 		sweep: reg.Histogram("edgebol_gp_sweep_seconds", telemetry.LatencyBuckets(),
 			"gp", objective, "engine", g.EngineName()),
+		planBuilds:    reg.Counter("edgebol_gp_sweep_plan_builds_total", "gp", objective),
+		planRefreshes: reg.Counter("edgebol_gp_sweep_plan_refreshes_total", "gp", objective),
+		planRows:      reg.Gauge("edgebol_gp_sweep_plan_rows", "gp", objective),
 	}
 	if g.sp != nil {
 		g.met.inducing = reg.Gauge("edgebol_gp_inducing_points", "gp", objective)

@@ -325,7 +325,7 @@ func TestSparseSweepPlanMatchesGeneric(t *testing.T) {
 	}
 	addSweepObs(t, g, 60, rng)
 	levels := sweepLevels([]int{4, 5})
-	p, err := NewSweepPlan(g, 2, levels)
+	p, err := NewSweepPlan([]*GP{g}, 2, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestSparseSweepPlanRebuildOnSwap(t *testing.T) {
 		}
 	}
 	levels := sweepLevels([]int{3, 4})
-	p, err := NewSweepPlan(g, 2, levels)
+	p, err := NewSweepPlan([]*GP{g}, 2, levels)
 	if err != nil {
 		t.Fatal(err)
 	}

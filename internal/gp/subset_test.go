@@ -49,7 +49,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 						shape.ctxDims, len(shape.counts), 37, 0, 211)
 				}
 				levels := sweepLevels(shape.counts)
-				p, err := NewSweepPlan(g, shape.ctxDims, levels)
+				p, err := NewSweepPlan([]*GP{g}, shape.ctxDims, levels)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +61,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 				size := p.GridSize()
 				refMu := make([]float64, size)
 				refSigma := make([]float64, size)
-				p.SweepSubset(ctx, gridIndices(size), refMu, refSigma, 1)
+				p.SweepSubset(ctx, gridIndices(size), [][]float64{refMu}, [][]float64{refSigma}, 1)
 
 				subsets := [][]int32{
 					{},                                    // empty subset is a no-op
@@ -81,7 +81,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 					for _, workers := range []int{1, 0, 2, 3, 8} {
 						mu := make([]float64, len(idxs))
 						sigma := make([]float64, len(idxs))
-						p.SweepSubset(ctx, idxs, mu, sigma, workers)
+						p.SweepSubset(ctx, idxs, [][]float64{mu}, [][]float64{sigma}, workers)
 						for j, gi := range idxs {
 							if !bitsEqual(mu[j], refMu[gi]) || !bitsEqual(sigma[j], refSigma[gi]) {
 								t.Fatalf("subset %d workers=%d slot %d (grid %d): subset (%x, %x), sweep (%x, %x)",
@@ -100,14 +100,14 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 func TestSweepSubsetEmptyGP(t *testing.T) {
 	g := New(NewMatern32([]float64{1, 1, 1}), 1e-3, 0)
 	levels := sweepLevels([]int{3, 4})
-	p, err := NewSweepPlan(g, 1, levels)
+	p, err := NewSweepPlan([]*GP{g}, 1, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idxs := []int32{5, 0, 11}
 	mu := make([]float64, len(idxs))
 	sigma := make([]float64, len(idxs))
-	p.SweepSubset([]float64{0.4}, idxs, mu, sigma, 2)
+	p.SweepSubset([]float64{0.4}, idxs, [][]float64{mu}, [][]float64{sigma}, 2)
 	for j := range idxs {
 		if !bitsEqual(mu[j], 0) {
 			t.Fatalf("slot %d: prior mean %v, want 0", j, mu[j])

@@ -7,46 +7,64 @@ import (
 	"time"
 
 	"repro/internal/linalg"
-	"repro/internal/telemetry"
 )
 
 // SweepPlan accelerates the per-period posterior sweep over a fixed
-// control grid by exploiting its structure: every candidate in a period
-// shares the same context, the grid never changes, and the anisotropic
-// squared distance of paper eq. 5 decomposes additively per dimension. The
-// plan therefore precomputes, per training point and per control
-// dimension, the squared scaled distances to every grid level once at
-// observe-time; a period's cross-covariance row then costs one table
-// lookup per control dimension plus a per-training-point context scalar,
-// instead of re-deriving O(d) distances per (training point, candidate)
-// pair.
+// control grid for a group of GPs that share one kernel. It exploits the
+// grid's structure: every candidate in a period shares the same context,
+// the grid never changes, and the anisotropic squared distance of paper
+// eq. 5 decomposes additively per dimension. The plan therefore
+// precomputes, per basis row and per control dimension, the squared scaled
+// distances to every grid level once at observe-time; a period's
+// cross-covariance column then costs one table lookup per control
+// dimension plus a per-basis-row context scalar, instead of re-deriving
+// O(d) distances per (basis row, candidate) pair.
+//
+// Group contract: the members have the same kernel type and bitwise-equal
+// length scales, and they were fed the same inputs — only their noise
+// variances and targets differ, as for EdgeBOL's cost, delay and mAP GPs
+// (Algorithm 1). They therefore share one basis: the training rows on the
+// exact engine, the inducing set on the sparse one (basis admission depends
+// only on the kernel and the inputs). A candidate's cross-covariance column
+// k(z*, Z) is thus the same for every member: the plan assembles it once
+// per candidate, applies the covariance tail once, and solves a copy
+// against each member's own factor — chol/alpha on the exact engine, the
+// cholSig + cholKmm dual solve on the sparse one. A one-member plan is the
+// degenerate group.
 //
 // Distance-table layout: tables[d][l][i] holds
 //
 //	((x_i[ctxDims+d] − levels[d][l]) · inv[ctxDims+d])²
 //
 // for basis row i — exactly the per-dimension term of the kernel's
-// EvalBatch. The basis is the training set on the exact engine and the
-// inducing set on the sparse one. Cached rows are appended when the basis
-// grows and rebuilt from scratch when its generation counter moves (a
-// sliding-window eviction renumbers the training rows; an inducing-point
-// swap replaces a basis row in place); a hyperparameter refit constructs
-// a new GP and therefore a new plan.
+// EvalBatch. Cached rows are appended when the basis grows and rebuilt
+// from scratch when its generation counter moves (a sliding-window
+// eviction renumbers the training rows; an inducing-point swap replaces a
+// basis row in place); a hyperparameter refit constructs new GPs and
+// therefore a new plan. Every sweep checks that each member's basis length
+// and generation still equal member 0's, and panics naming the member that
+// diverged.
 //
-// Bitwise contract: SweepSubset reproduces PosteriorBatch over the
-// enumerated grid points it is given bit for bit, for every worker count
-// and any index list. The per-dimension
-// terms are accumulated in the same two even/odd chains, in the same
-// order, as the kernel's scaledSqDistInv — the context dimensions come
-// first, so the per-period context partials are valid prefixes of both
-// chains — and the solve path is the same fused tiled solve.
+// Bitwise contract: SweepSubset reproduces each member's PosteriorBatch
+// over the enumerated grid points it is given bit for bit, for every
+// worker count and any index list. The per-dimension terms are accumulated
+// in the same two even/odd chains, in the same order, as the kernel's
+// scaledSqDistInv — the context dimensions come first, so the per-period
+// context partials are valid prefixes of both chains — and the solve path
+// is the same fused tiled solve.
+//
+// Telemetry: the plan reports through its members' own series (see
+// GP.Instrument). Every member's edgebol_gp_sweep_plan_* series counts the
+// shared tables, and every member's edgebol_gp_sweep_seconds observes the
+// group sweep that produced its posteriors.
 //
 // Concurrency: like the GP read path, SweepSubset must not run
-// concurrently with Add or with another SweepSubset on the same plan (it
-// refreshes the distance tables); distinct plans over distinct GPs may
-// sweep concurrently, and SweepSubset shards its own work internally.
+// concurrently with Add on any member or with another SweepSubset on the
+// same plan (it refreshes the distance tables); distinct plans over
+// distinct GPs may sweep concurrently, and SweepSubset shards its own work
+// internally.
 type SweepPlan struct {
-	g       *GP
+	members []*GP
 	ctxDims int
 	tail    kernelTail
 	inv     []float64   // reciprocal length scales, one per feature dim
@@ -59,13 +77,11 @@ type SweepPlan struct {
 
 	tables   [][][]float64
 	rows     int    // basis rows currently tabulated
-	basisGen uint64 // GP basis generation the tables were built against
+	basisGen uint64 // basis generation the tables were built against
 
 	// c0/c1 are the per-period context partials: the even/odd chain
-	// prefixes over the context dimensions, one entry per training row.
+	// prefixes over the context dimensions, one entry per basis row.
 	c0, c1 []float64
-
-	met planMetrics
 }
 
 // kernelTail identifies the covariance tail κ(d²) applied to the
@@ -79,39 +95,66 @@ const (
 	tailRBF
 )
 
-// planMetrics holds the plan's pre-registered telemetry handles; the zero
-// value (all nil) is the disabled state.
-type planMetrics struct {
-	builds    *telemetry.Counter
-	refreshes *telemetry.Counter
-	rows      *telemetry.Gauge
+// sweepKernel returns the length scales and covariance tail of one of the
+// package's stationary kernels, or an error naming a foreign kernel's type.
+func sweepKernel(k Kernel) ([]float64, kernelTail, error) {
+	switch k := k.(type) {
+	case *Matern32:
+		return k.LengthScales, tailMatern32, nil
+	case *Matern52:
+		return k.LengthScales, tailMatern52, nil
+	case *RBF:
+		return k.LengthScales, tailRBF, nil
+	}
+	return nil, 0, fmt.Errorf("requires a package kernel, got %T", k)
 }
 
-// NewSweepPlan builds a sweep plan for g over the grid whose control
-// dimensions take the given level values (feature order, after the
-// ctxDims context dimensions). The grid is enumerated with the last
+// NewSweepPlan builds a sweep plan for a group of GPs over the grid whose
+// control dimensions take the given level values (feature order, after
+// the ctxDims context dimensions). The grid is enumerated with the last
 // control dimension fastest — the order core.GridSpec.Enumerate uses — and
 // candidate features must equal the level values bitwise (core guarantees
 // this by deriving both from the same GridSpec).
 //
-// It returns an error naming the kernel's type when the kernel is not one
-// of the package's stationary kernels, and an error when the dimensions
-// are inconsistent.
-func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
-	if g == nil {
-		return nil, fmt.Errorf("gp: SweepPlan needs a GP")
+// The members must share one kernel type, bitwise-equal length scales,
+// one engine, and one basis (see the type comment). Errors name the
+// member at fault: a nil member, a kernel that is not one of the package's
+// stationary kernels (by type), a kernel or length scale that differs from
+// member 0's, a basis that differs in engine, length or generation, or
+// dimensions inconsistent with the grid.
+func NewSweepPlan(members []*GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
+	if len(members) == 0 {
+		return nil, fmt.Errorf("gp: SweepPlan needs at least one GP")
 	}
 	var ls []float64
 	var tail kernelTail
-	switch k := g.kernel.(type) {
-	case *Matern32:
-		ls, tail = k.LengthScales, tailMatern32
-	case *Matern52:
-		ls, tail = k.LengthScales, tailMatern52
-	case *RBF:
-		ls, tail = k.LengthScales, tailRBF
-	default:
-		return nil, fmt.Errorf("gp: SweepPlan requires a package kernel, got %T", g.kernel)
+	for k, g := range members {
+		if g == nil {
+			return nil, fmt.Errorf("gp: SweepPlan member %d is nil", k)
+		}
+		mls, mtail, err := sweepKernel(g.kernel)
+		if err != nil {
+			return nil, fmt.Errorf("gp: SweepPlan member %d %w", k, err)
+		}
+		if k == 0 {
+			ls, tail = mls, mtail
+			continue
+		}
+		lead := members[0]
+		if mtail != tail {
+			return nil, fmt.Errorf("gp: SweepPlan member %d kernel %T differs from member 0's %T", k, g.kernel, lead.kernel)
+		}
+		if err := sameLengthScales(mls, ls); err != nil {
+			return nil, fmt.Errorf("gp: SweepPlan member %d %w", k, err)
+		}
+		if (g.sp != nil) != (lead.sp != nil) {
+			return nil, fmt.Errorf("gp: SweepPlan member %d runs the %s engine, member 0 the %s engine",
+				k, g.EngineName(), lead.EngineName())
+		}
+		if g.basisLen() != lead.basisLen() || g.basisGen() != lead.basisGen() {
+			return nil, fmt.Errorf("gp: SweepPlan member %d basis (%d rows, generation %d) differs from member 0's (%d rows, generation %d)",
+				k, g.basisLen(), g.basisGen(), lead.basisLen(), lead.basisGen())
+		}
 	}
 	if ctxDims < 0 {
 		return nil, fmt.Errorf("gp: negative context dimension count %d", ctxDims)
@@ -120,7 +163,7 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 		return nil, fmt.Errorf("gp: SweepPlan needs at least one control dimension")
 	}
 	if ctxDims+len(levels) != len(ls) {
-		return nil, fmt.Errorf("gp: %d context + %d control dimensions do not match kernel dimension %d",
+		return nil, fmt.Errorf("gp: %d context + %d control dimensions do not match the members' kernel dimension %d",
 			ctxDims, len(levels), len(ls))
 	}
 	size := 1
@@ -131,7 +174,7 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 		size *= len(lv)
 	}
 	p := &SweepPlan{
-		g:       g,
+		members: append([]*GP(nil), members...),
 		ctxDims: ctxDims,
 		tail:    tail,
 		inv:     make([]float64, len(ls)),
@@ -152,23 +195,28 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 			p.odds = append(p.odds, d)
 		}
 	}
-	p.basisGen = g.basisGen()
-	p.appendRows(0, g.basisLen())
-	p.rows = g.basisLen()
-	p.met.builds.Inc()
+	lead := members[0]
+	p.basisGen = lead.basisGen()
+	p.rows = lead.basisLen()
+	p.appendRows(0, p.rows)
+	for _, g := range p.members {
+		g.met.planRows.Set(float64(p.rows))
+	}
 	return p, nil
 }
 
-// Instrument registers the plan's telemetry series on reg, labeled with
-// the objective name: table build/refresh counters and the cached-row
-// gauge. A nil registry leaves telemetry disabled at zero cost.
-func (p *SweepPlan) Instrument(reg *telemetry.Registry, objective string) {
-	p.met = planMetrics{
-		builds:    reg.Counter("edgebol_gp_sweep_plan_builds_total", "gp", objective),
-		refreshes: reg.Counter("edgebol_gp_sweep_plan_refreshes_total", "gp", objective),
-		rows:      reg.Gauge("edgebol_gp_sweep_plan_rows", "gp", objective),
+// sameLengthScales reports, as an error fragment, how a member's length
+// scales ls differ from member 0's lead: in count or in any value's bits.
+func sameLengthScales(ls, lead []float64) error {
+	if len(ls) != len(lead) {
+		return fmt.Errorf("has %d length scales, member 0 has %d", len(ls), len(lead))
 	}
-	p.met.rows.Set(float64(p.rows))
+	for i := range ls {
+		if math.Float64bits(ls[i]) != math.Float64bits(lead[i]) {
+			return fmt.Errorf("length scale %d is %v, member 0's is %v", i, ls[i], lead[i])
+		}
+	}
+	return nil
 }
 
 // GridSize returns the grid cardinality the plan sweeps.
@@ -177,8 +225,9 @@ func (p *SweepPlan) GridSize() int { return p.size }
 // appendRows tabulates basis rows [from, to) into every distance table —
 // training rows on the exact engine, inducing rows on the sparse one.
 func (p *SweepPlan) appendRows(from, to int) {
-	dim := p.g.dim
-	bxs := p.g.basisXs()
+	lead := p.members[0]
+	dim := lead.dim
+	bxs := lead.basisXs()
 	for d, lv := range p.levels {
 		f := p.ctxDims + d
 		invf := p.inv[f]
@@ -193,29 +242,50 @@ func (p *SweepPlan) appendRows(from, to int) {
 	}
 }
 
-// sync brings the distance tables up to date with the GP's basis: growth
-// (new observations, or basis insertions under the sparse engine) appends
-// rows; a moved basis generation — an eviction renumbering the training
-// rows, or an inducing-point swap replacing a basis row in place —
-// rebuilds every table from scratch.
-func (p *SweepPlan) sync() {
-	n := p.g.basisLen()
+// basisLen returns the members' common basis length, panicking with the
+// first member whose basis length or generation diverged from member 0's:
+// a diverged member would be solved against columns of another basis.
+func (p *SweepPlan) basisLen() int {
+	lead := p.members[0]
+	n, gen := lead.basisLen(), lead.basisGen()
+	for k, g := range p.members[1:] {
+		if g.basisLen() != n || g.basisGen() != gen {
+			panic(fmt.Sprintf("gp: SweepPlan member %d basis (%d rows, generation %d) diverged from member 0's (%d rows, generation %d)",
+				k+1, g.basisLen(), g.basisGen(), n, gen))
+		}
+	}
+	return n
+}
+
+// sync brings the distance tables up to date with the members' common
+// basis of n rows: growth (new observations, or basis insertions under the
+// sparse engine) appends rows; a moved basis generation — an eviction
+// renumbering the training rows, or an inducing-point swap replacing a
+// basis row in place — rebuilds every table from scratch.
+func (p *SweepPlan) sync(n int) {
+	gen := p.members[0].basisGen()
 	switch {
-	case p.g.basisGen() != p.basisGen || n < p.rows:
+	case gen != p.basisGen || n < p.rows:
 		for d := range p.tables {
 			for li := range p.tables[d] {
 				p.tables[d][li] = p.tables[d][li][:0]
 			}
 		}
 		p.appendRows(0, n)
-		p.basisGen = p.g.basisGen()
-		p.met.builds.Inc()
+		p.basisGen = gen
+		for _, g := range p.members {
+			g.met.planBuilds.Inc()
+		}
 	case n > p.rows:
 		p.appendRows(p.rows, n)
-		p.met.refreshes.Inc()
+		for _, g := range p.members {
+			g.met.planRefreshes.Inc()
+		}
 	}
 	p.rows = n
-	p.met.rows.Set(float64(n))
+	for _, g := range p.members {
+		g.met.planRows.Set(float64(n))
+	}
 }
 
 // contextPartials computes the per-period context partials: the even/odd
@@ -229,8 +299,9 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 		p.c1 = make([]float64, n)
 	}
 	c0, c1 = p.c0[:n], p.c1[:n]
-	dim := p.g.dim
-	bxs := p.g.basisXs()
+	lead := p.members[0]
+	dim := lead.dim
+	bxs := lead.basisXs()
 	for i := 0; i < n; i++ {
 		row := bxs[i*dim : i*dim+p.ctxDims]
 		var s0, s1 float64
@@ -247,40 +318,58 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 	return c0, c1
 }
 
-// SweepSubset evaluates the GP posterior at the grid points whose flat
-// indices are listed in idxs (each in [0, GridSize()), enumeration order),
-// writing into mu and sigma (each of length len(idxs), parallel to idxs).
-// Output j equals PosteriorBatch at the features of grid point idxs[j]
-// bitwise, for every worker count and any subset composition: the
-// per-column math is independent of how columns are tiled or sharded. It
-// is the plan's only sweep: the full grid is the identity index list, a
-// budgeted search passes the candidates it chose, and a period costs
-// O(len(idxs)).
-func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64, workers int) {
+// SweepSubset evaluates every member's posterior at the grid points whose
+// flat indices are listed in idxs (each in [0, GridSize()), enumeration
+// order), writing member k's means and standard deviations into mu[k] and
+// sigma[k] (each of length len(idxs), parallel to idxs; mu and sigma hold
+// one slice per member, in the order given to NewSweepPlan). Output j of
+// member k equals that member's PosteriorBatch at the features of grid
+// point idxs[j] bitwise, for every worker count and any subset
+// composition: the per-column math is independent of how columns are
+// tiled or sharded. It is the plan's only
+// sweep: the full grid is the identity index list, a budgeted search
+// passes the candidates it chose, and a period costs O(len(idxs)) column
+// builds plus one solve per candidate and member.
+func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma [][]float64, workers int) {
 	if len(ctx) != p.ctxDims {
 		panic(fmt.Sprintf("gp: SweepSubset context dimension %d does not match plan's %d", len(ctx), p.ctxDims))
 	}
-	if len(mu) != len(idxs) || len(sigma) != len(idxs) {
-		panic(fmt.Sprintf("gp: SweepSubset output lengths %d, %d do not match %d indices", len(mu), len(sigma), len(idxs)))
+	if len(mu) != len(p.members) || len(sigma) != len(p.members) {
+		panic(fmt.Sprintf("gp: SweepSubset got %d, %d output pairs for %d members", len(mu), len(sigma), len(p.members)))
 	}
-	g := p.g
-	if g.met.sweep != nil {
+	for k := range mu {
+		if len(mu[k]) != len(idxs) || len(sigma[k]) != len(idxs) {
+			panic(fmt.Sprintf("gp: SweepSubset member %d output lengths %d, %d do not match %d indices",
+				k, len(mu[k]), len(sigma[k]), len(idxs)))
+		}
+	}
+	// Members are instrumented together, so member 0's handle gates the
+	// timing for the group.
+	if p.members[0].met.sweep != nil {
 		start := time.Now()
-		defer func() { g.met.sweep.ObserveDuration(time.Since(start)) }()
+		defer func() {
+			d := time.Since(start)
+			for _, g := range p.members {
+				g.met.sweep.ObserveDuration(d)
+			}
+		}()
 	}
-	n := g.basisLen()
+	n := p.basisLen()
 	if n == 0 {
-		prior := math.Sqrt(g.kernel.Prior())
-		for i := range mu {
-			mu[i] = 0
-			sigma[i] = prior
+		for k, g := range p.members {
+			//edgebol:allow nanguard -- prior variance is positive by the Kernel contract (Prior is k(x,x) > 0)
+			prior := math.Sqrt(g.kernel.Prior())
+			for i := range mu[k] {
+				mu[k][i] = 0
+				sigma[k][i] = prior
+			}
 		}
 		return
 	}
-	p.sync()
+	p.sync(n)
 	c0, c1 := p.contextPartials(ctx, n)
 	m := len(idxs)
-	workers = ResolveWorkers(n, m, workers)
+	workers = ResolveWorkers(n*len(p.members), m, workers)
 	if workers <= 1 {
 		p.sweepSubsetRange(idxs, 0, m, c0, c1, mu, sigma)
 		return
@@ -303,42 +392,39 @@ func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64
 }
 
 // sweepSubsetRange evaluates positions [lo, hi) of idxs: per candidate,
-// decode its level indices, assemble the cross-covariance column from the
-// distance tables and context partials, then run tiles of sweepTile
-// columns through the fused solve — the same tiling as posteriorRange, so
-// shard boundaries never change results. Sparse engine: the assembled
-// columns are cross-covariances to the inducing basis and each tile solves
-// against both m-sized factors, the same dual-solve shape as
-// posteriorRange. Results land at the same positions of mu and sigma.
+// decode its level indices and assemble the cross-covariance column from
+// the distance tables and context partials — once for the whole group —
+// then run tiles of sweepTile columns through each member's fused solve,
+// the same tiling as posteriorRange, so shard boundaries never change
+// results. The fused solve overwrites its right-hand sides, so every
+// member but the last solves a copy of the tile. Sparse engine: the
+// columns are cross-covariances to the inducing basis and each member
+// solves them against both of its m-sized factors, the same dual-solve
+// shape as posteriorRange. Results land at the same positions of mu[k]
+// and sigma[k].
 //
 //edgebol:hot
-func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma []float64) {
-	g := p.g
-	n := g.basisLen()
-	prior := g.kernel.Prior()
+func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1 []float64, mu, sigma [][]float64) {
+	n := p.rows
+	sparse := p.members[0].sp != nil
 	tile := hi - lo
 	if tile > sweepTile {
 		tile = sweepTile
 	}
-	buf := make([]float64, tile*n)
-	views := make([][]float64, tile)
-	for b := range views {
-		views[b] = buf[b*n : (b+1)*n]
+	cols, colViews := tileBuffer(tile, n)
+	var work, work2 []float64
+	var workViews, views2 [][]float64
+	if len(p.members) > 1 {
+		work, workViews = tileBuffer(tile, n)
 	}
-	var buf2 []float64
-	var views2 [][]float64
-	if g.sp != nil {
-		buf2 = make([]float64, tile*n)
-		views2 = make([][]float64, tile)
-		for b := range views2 {
-			views2[b] = buf2[b*n : (b+1)*n]
-		}
+	if sparse {
+		work2, views2 = tileBuffer(tile, n)
 	}
 	var solver linalg.FusedSolver
-	var vsq, vsqNy, muNy [sweepTile]float64
 	li := make([]int, len(p.levels))
 	rowsE := make([][]float64, len(p.evens))
 	rowsO := make([][]float64, len(p.odds))
+	last := len(p.members) - 1
 	for base := lo; base < hi; base += tile {
 		m := hi - base
 		if m > tile {
@@ -352,32 +438,66 @@ func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma
 			for o, d := range p.odds {
 				rowsO[o] = p.tables[d][li[d]][:n]
 			}
-			col := views[b]
+			col := colViews[b]
 			fillSqDist(col, c0, c1, rowsE, rowsO)
 			p.applyTail(col)
 		}
-		if g.sp != nil {
-			copy(buf2, buf)
-			solver.SolveFused(g.sp.cholSig, views[:m], g.sp.alpha, mu[base:base+m], vsq[:m])
-			solver.SolveFused(g.sp.cholKmm, views2[:m], g.sp.zeroAlpha[:n], muNy[:m], vsqNy[:m])
-			for b := 0; b < m; b++ {
-				v := prior - vsqNy[b] + vsq[b]
-				if v < 0 {
-					v = 0
-				}
-				sigma[base+b] = math.Sqrt(v)
+		for k, g := range p.members {
+			if sparse {
+				copy(work2[:m*n], cols[:m*n])
 			}
-			continue
+			views := colViews
+			if k < last {
+				copy(work[:m*n], cols[:m*n])
+				views = workViews
+			}
+			solveTile(&solver, g, views[:m], views2, mu[k][base:base+m], sigma[k][base:base+m])
 		}
-		solver.SolveFused(g.chol, views[:m], g.alpha, mu[base:base+m], vsq[:m])
+	}
+}
+
+// solveTile runs member g's fused solve over one tile of assembled
+// columns, writing the tile's posterior means and standard deviations
+// into mu and sigma (one entry per column). The columns are overwritten.
+// Sparse engine: views2 holds a second copy of the columns for the K_mm
+// solve of the predictive variance.
+//
+//edgebol:hot
+func solveTile(solver *linalg.FusedSolver, g *GP, views, views2 [][]float64, mu, sigma []float64) {
+	var vsq, vsqNy, muNy [sweepTile]float64
+	m := len(mu)
+	prior := g.kernel.Prior()
+	if g.sp != nil {
+		solver.SolveFused(g.sp.cholSig, views, g.sp.alpha, mu, vsq[:m])
+		solver.SolveFused(g.sp.cholKmm, views2[:m], g.sp.zeroAlpha[:g.sp.m], muNy[:m], vsqNy[:m])
 		for b := 0; b < m; b++ {
-			v := prior - vsq[b]
+			v := prior - vsqNy[b] + vsq[b]
 			if v < 0 {
 				v = 0
 			}
-			sigma[base+b] = math.Sqrt(v)
+			sigma[b] = math.Sqrt(v)
 		}
+		return
 	}
+	solver.SolveFused(g.chol, views, g.alpha, mu, vsq[:m])
+	for b := 0; b < m; b++ {
+		v := prior - vsq[b]
+		if v < 0 {
+			v = 0
+		}
+		sigma[b] = math.Sqrt(v)
+	}
+}
+
+// tileBuffer allocates one tile of `tile` columns of length n and its
+// per-column views.
+func tileBuffer(tile, n int) ([]float64, [][]float64) {
+	buf := make([]float64, tile*n)
+	views := make([][]float64, tile)
+	for b := range views {
+		views[b] = buf[b*n : (b+1)*n]
+	}
+	return buf, views
 }
 
 // levelIndices decodes a grid index into per-dimension level indices,

@@ -2,7 +2,9 @@ package gp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -92,7 +94,7 @@ func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, level
 	for _, workers := range []int{1, 0, 2, 3, 8} {
 		mu := make([]float64, len(feats))
 		sigma := make([]float64, len(feats))
-		p.SweepSubset(ctx, gridIndices(len(feats)), mu, sigma, workers)
+		p.SweepSubset(ctx, gridIndices(len(feats)), [][]float64{mu}, [][]float64{sigma}, workers)
 		for i := range feats {
 			if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
 				t.Fatalf("workers=%d grid point %d: plan (%x, %x), generic (%x, %x)",
@@ -130,7 +132,7 @@ func TestSweepPlanMatchesGeneric(t *testing.T) {
 				const window = 48
 				g := sweepTestGP(t, k.make, shape.ctxDims, len(shape.counts), 37, window, 101)
 				levels := sweepLevels(shape.counts)
-				p, err := NewSweepPlan(g, shape.ctxDims, levels)
+				p, err := NewSweepPlan([]*GP{g}, shape.ctxDims, levels)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,7 +170,7 @@ func TestSweepPlanAcrossRefit(t *testing.T) {
 	ctx := []float64{0.3, 0.6, 0.1}
 	for _, seed := range []int64{1, 2} {
 		g := sweepTestGP(t, func(ls []float64) Kernel { return NewMatern32(ls) }, 3, 3, 25, 0, seed)
-		p, err := NewSweepPlan(g, 3, levels)
+		p, err := NewSweepPlan([]*GP{g}, 3, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +183,7 @@ func TestSweepPlanAcrossRefit(t *testing.T) {
 func TestSweepPlanEmptyGP(t *testing.T) {
 	g := New(NewMatern32([]float64{0.5, 0.5, 0.5}), 1e-3, 0)
 	levels := sweepLevels([]int{3, 4})
-	p, err := NewSweepPlan(g, 1, levels)
+	p, err := NewSweepPlan([]*GP{g}, 1, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +204,13 @@ func TestNewSweepPlanErrors(t *testing.T) {
 		{"nil gp", func() error { _, err := NewSweepPlan(nil, 1, levels); return err }},
 		{"foreign kernel", func() error {
 			w := New(&opaque{NewMatern32([]float64{0.5, 0.5, 0.5})}, 1e-3, 0)
-			_, err := NewSweepPlan(w, 1, levels)
+			_, err := NewSweepPlan([]*GP{w}, 1, levels)
 			return err
 		}},
-		{"negative ctx dims", func() error { _, err := NewSweepPlan(g, -1, levels); return err }},
-		{"no control dims", func() error { _, err := NewSweepPlan(g, 3, nil); return err }},
-		{"dim mismatch", func() error { _, err := NewSweepPlan(g, 2, levels); return err }},
-		{"empty dimension", func() error { _, err := NewSweepPlan(g, 1, [][]float64{{0.1}, {}}); return err }},
+		{"negative ctx dims", func() error { _, err := NewSweepPlan([]*GP{g}, -1, levels); return err }},
+		{"no control dims", func() error { _, err := NewSweepPlan([]*GP{g}, 3, nil); return err }},
+		{"dim mismatch", func() error { _, err := NewSweepPlan([]*GP{g}, 2, levels); return err }},
+		{"empty dimension", func() error { _, err := NewSweepPlan([]*GP{g}, 1, [][]float64{{0.1}, {}}); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,47 +221,290 @@ func TestNewSweepPlanErrors(t *testing.T) {
 	}
 }
 
-// TestSweepPlanTelemetry checks the build/refresh counters and row gauge
-// across the plan lifecycle: construction, append, eviction rebuild.
+// TestSweepPlanTelemetry checks the build/refresh counters, row gauge and
+// sweep histogram across the plan lifecycle — construction, append,
+// eviction rebuild — on a three-member plan: every member's series
+// reports the shared tables, and every member's sweep histogram observes
+// each group sweep.
 func TestSweepPlanTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	const window = 16
-	g := sweepTestGP(t, func(ls []float64) Kernel { return NewMatern32(ls) }, 1, 2, 10, window, 3)
+	names := []string{"cost", "delay", "map"}
+	members := groupTestGPs(t, len(names), 1, 2, 10, window, false, 3)
+	for k, g := range members {
+		g.Instrument(reg, names[k])
+	}
 	levels := sweepLevels([]int{3, 3})
-	p, err := NewSweepPlan(g, 1, levels)
+	p, err := NewSweepPlan(members, 1, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Instrument(reg, "cost")
-	builds := reg.Counter("edgebol_gp_sweep_plan_builds_total", "gp", "cost")
-	refreshes := reg.Counter("edgebol_gp_sweep_plan_refreshes_total", "gp", "cost")
-	rows := reg.Gauge("edgebol_gp_sweep_plan_rows", "gp", "cost")
-	if rows.Value() != 10 { //edgebol:allow floateq -- gauge stores the exact integer
-		t.Fatalf("row gauge %v after construction, want 10", rows.Value())
+	requireRows := func(stage string, want float64) {
+		t.Helper()
+		for _, name := range names {
+			if got := reg.Gauge("edgebol_gp_sweep_plan_rows", "gp", name).Value(); got != want { //edgebol:allow floateq -- gauge stores the exact integer
+				t.Fatalf("%s row gauge %v after %s, want %v", name, got, stage, want)
+			}
+		}
 	}
+	requireCounter := func(family, stage string, want uint64) {
+		t.Helper()
+		for _, name := range names {
+			if got := reg.Counter(family, "gp", name).Value(); got != want {
+				t.Fatalf("%s %s %d after %s, want %d", name, family, got, stage, want)
+			}
+		}
+	}
+	requireRows("construction", 10)
 	ctx := []float64{0.5}
-	mu := make([]float64, p.GridSize())
-	sigma := make([]float64, p.GridSize())
 	all := gridIndices(p.GridSize())
+	mu, sigma := groupOutputs(len(members), len(all))
 	rng := rand.New(rand.NewSource(5))
 
-	addSweepObs(t, g, 2, rng)
+	addGroupObs(t, members, 2, rng)
 	p.SweepSubset(ctx, all, mu, sigma, 1)
-	if got := refreshes.Value(); got != 1 {
-		t.Fatalf("refreshes %d after append, want 1", got)
-	}
-	if rows.Value() != 12 { //edgebol:allow floateq -- gauge stores the exact integer
-		t.Fatalf("row gauge %v after append, want 12", rows.Value())
-	}
+	requireCounter("edgebol_gp_sweep_plan_refreshes_total", "append", 1)
+	requireRows("append", 12)
 
-	addSweepObs(t, g, window, rng) // crosses the bound: eviction
-	if g.Evictions() == 0 {
+	addGroupObs(t, members, window, rng) // crosses the bound: eviction
+	if members[0].Evictions() == 0 {
 		t.Fatal("expected an eviction")
 	}
 	p.SweepSubset(ctx, all, mu, sigma, 1)
-	if got := builds.Value(); got != 1 {
-		t.Fatalf("builds %d after eviction (construction-time build is uninstrumented), want 1", got)
+	// The construction-time build is not counted: builds are rebuilds.
+	requireCounter("edgebol_gp_sweep_plan_builds_total", "eviction", 1)
+	for _, name := range names {
+		h := reg.Histogram("edgebol_gp_sweep_seconds", telemetry.LatencyBuckets(), "gp", name, "engine", "exact")
+		if got := h.Count(); got != 2 {
+			t.Fatalf("%s sweep histogram observed %d sweeps, want 2", name, got)
+		}
 	}
+}
+
+// groupTestGPs builds k GPs that share one kernel and one input stream but
+// differ in noise variance and targets — the shape of EdgeBOL's objective
+// GPs — with n observations each. window bounds the exact engine's
+// history; sparse selects the inducing-point engine with a small budget,
+// so inserts and swaps happen within a few dozen observations.
+func groupTestGPs(t *testing.T, k, ctxDims, ctrlDims, n, window int, sparse bool, seed int64) []*GP {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ls := make([]float64, ctxDims+ctrlDims)
+	for i := range ls {
+		ls[i] = 0.3 + rng.Float64()
+	}
+	members := make([]*GP, k)
+	for j := range members {
+		noise := 2e-3 * float64(j+1)
+		if sparse {
+			g, err := NewSparse(NewMatern32(ls), noise, SparseConfig{MaxInducing: 8, SwapMargin: 1e-3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			members[j] = g
+		} else {
+			members[j] = New(NewMatern32(ls), noise, window)
+		}
+	}
+	addGroupObs(t, members, n, rng)
+	return members
+}
+
+// addGroupObs feeds n random inputs to every member, each with its own
+// target.
+func addGroupObs(t *testing.T, members []*GP, n int, rng *rand.Rand) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		x := make([]float64, members[0].dim)
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		for _, g := range members {
+			if err := g.Add(x, rng.NormFloat64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// groupOutputs allocates one mu/sigma pair of length m per member.
+func groupOutputs(k, m int) (mu, sigma [][]float64) {
+	mu, sigma = make([][]float64, k), make([][]float64, k)
+	for j := range mu {
+		mu[j] = make([]float64, m)
+		sigma[j] = make([]float64, m)
+	}
+	return mu, sigma
+}
+
+// requireGroupMatches asserts that the group plan's sweep over idxs
+// reproduces every member's own PosteriorBatch bitwise, for workers 1, 2
+// and 3.
+func requireGroupMatches(t *testing.T, members []*GP, p *SweepPlan, ctx []float64, feats [][]float64, idxs []int32) {
+	t.Helper()
+	sel := make([][]float64, len(idxs))
+	for j, gi := range idxs {
+		sel[j] = feats[gi]
+	}
+	refMu, refSigma := groupOutputs(len(members), len(idxs))
+	for k, g := range members {
+		g.PosteriorBatch(sel, refMu[k], refSigma[k], BatchOptions{Workers: 1})
+	}
+	for _, workers := range []int{1, 2, 3} {
+		mu, sigma := groupOutputs(len(members), len(idxs))
+		p.SweepSubset(ctx, idxs, mu, sigma, workers)
+		for k := range members {
+			for j := range idxs {
+				if !bitsEqual(mu[k][j], refMu[k][j]) || !bitsEqual(sigma[k][j], refSigma[k][j]) {
+					t.Fatalf("workers=%d member %d slot %d (grid %d): plan (%x, %x), PosteriorBatch (%x, %x)",
+						workers, k, j, idxs[j], mu[k][j], sigma[k][j], refMu[k][j], refSigma[k][j])
+				}
+			}
+		}
+	}
+}
+
+// TestSweepPlanGroupMatchesSingle pins the group contract: a plan over 3
+// or 4 GPs that share a kernel and inputs but not noise or targets gives
+// each member exactly its own PosteriorBatch posteriors — on the exact
+// engine, after sliding-window evictions, and on the sparse engine after
+// inducing swaps — for every worker count, over the identity index list
+// and a random one.
+func TestSweepPlanGroupMatchesSingle(t *testing.T) {
+	const ctxDims, window = 3, 24
+	counts := []int{4, 3, 3, 4}
+	levels := sweepLevels(counts)
+	for _, sparse := range []bool{false, true} {
+		for _, k := range []int{3, 4} {
+			t.Run(fmt.Sprintf("sparse=%v/members=%d", sparse, k), func(t *testing.T) {
+				members := groupTestGPs(t, k, ctxDims, len(counts), 20, window, sparse, int64(17+k))
+				p, err := NewSweepPlan(members, ctxDims, levels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(29 + k)))
+				check := func(stage string) {
+					t.Helper()
+					ctx := make([]float64, ctxDims)
+					for j := range ctx {
+						ctx[j] = rng.Float64()
+					}
+					feats := enumerateGrid(ctx, levels)
+					random := make([]int32, 150)
+					for j := range random {
+						random[j] = int32(rng.Intn(len(feats)))
+					}
+					t.Run(stage+"/identity", func(t *testing.T) {
+						requireGroupMatches(t, members, p, ctx, feats, gridIndices(len(feats)))
+					})
+					t.Run(stage+"/random", func(t *testing.T) {
+						requireGroupMatches(t, members, p, ctx, feats, random)
+					})
+				}
+				check("initial")
+				addGroupObs(t, members, 40, rng)
+				if sparse {
+					if members[0].InducingSwaps() == 0 {
+						t.Fatal("expected an inducing swap")
+					}
+					check("swapped")
+				} else {
+					if members[0].Evictions() == 0 {
+						t.Fatal("expected an eviction")
+					}
+					check("evicted")
+				}
+			})
+		}
+	}
+}
+
+// TestSweepPlanGroupRejectsMismatch covers the group constructor's
+// rejections: every error names the member that differs from member 0.
+func TestSweepPlanGroupRejectsMismatch(t *testing.T) {
+	const ctxDims = 1
+	levels := sweepLevels([]int{3, 4})
+	base := func() []*GP { return groupTestGPs(t, 3, ctxDims, 2, 6, 0, false, 41) }
+	cases := []struct {
+		name   string
+		member string
+		build  func() []*GP
+	}{
+		{"nil member", "member 1", func() []*GP { m := base(); m[1] = nil; return m }},
+		{"foreign kernel", "member 2", func() []*GP {
+			m := base()
+			m[2] = New(&opaque{NewMatern32([]float64{0.5, 0.5, 0.5})}, 1e-3, 0)
+			return m
+		}},
+		{"kernel type", "member 1", func() []*GP {
+			m := base()
+			m[1] = New(NewMatern52(m[0].kernel.(*Matern32).LengthScales), 1e-3, 0)
+			return m
+		}},
+		{"length scales", "member 2", func() []*GP {
+			m := base()
+			ls := append([]float64(nil), m[0].kernel.(*Matern32).LengthScales...)
+			ls[1] = math.Nextafter(ls[1], 2)
+			m[2] = New(NewMatern32(ls), 1e-3, 0)
+			return m
+		}},
+		{"dimension", "member 1", func() []*GP {
+			m := base()
+			ls := append(append([]float64(nil), m[0].kernel.(*Matern32).LengthScales...), 0.7)
+			m[1] = New(NewMatern32(ls), 1e-3, 0)
+			return m
+		}},
+		{"basis length", "member 2", func() []*GP {
+			m := base()
+			addSweepObs(t, m[2], 1, rand.New(rand.NewSource(3)))
+			return m
+		}},
+		{"engine", "member 1", func() []*GP {
+			m := base()
+			g, err := NewSparse(NewMatern32(m[0].kernel.(*Matern32).LengthScales), 1e-3, SparseConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[1] = g
+			return m
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewSweepPlan(tc.build(), ctxDims, levels)
+			if err == nil {
+				t.Fatal("expected an error")
+			}
+			if !strings.Contains(err.Error(), tc.member) {
+				t.Fatalf("error %q does not name %s", err, tc.member)
+			}
+		})
+	}
+}
+
+// TestSweepPlanGroupDivergencePanics pins the sweep-time guard: a member
+// whose basis drifts from member 0's after construction stops the sweep
+// with a panic naming it, instead of being solved against another
+// member's columns.
+func TestSweepPlanGroupDivergencePanics(t *testing.T) {
+	members := groupTestGPs(t, 3, 1, 2, 6, 0, false, 43)
+	p, err := NewSweepPlan(members, 1, sweepLevels([]int{3, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addSweepObs(t, members[1], 1, rand.New(rand.NewSource(4)))
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected a panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "member 1") {
+			t.Fatalf("panic %q does not name member 1", msg)
+		}
+	}()
+	idxs := gridIndices(p.GridSize())
+	mu, sigma := groupOutputs(len(members), len(idxs))
+	p.SweepSubset([]float64{0.5}, idxs, mu, sigma, 1)
 }
 
 // TestResolveWorkers pins the auto-scaling policy: explicit counts are
