@@ -47,13 +47,14 @@ check: build fmt-check lint test race sparse-equiv acq-equiv fleet-smoke
 # sparse-equiv runs the sparse-vs-exact equivalence suite on its own:
 # posterior error bounds against the exact oracle, bitwise sweep-plan and
 # batch agreement (one-member plans and sparse kernel groups after
-# inducing swaps), auto-switch/convert equivalence, checkpoint round-trips,
+# inducing swaps, ungated and under mean gates), auto-switch/convert
+# equivalence, checkpoint round-trips,
 # and the selection-regret replay gate. The tests also run under `test`;
 # the dedicated target exists so CI names a sparse-accuracy regression
 # instead of burying it in the full suite.
 sparse-equiv:
 	$(GO) test -count=1 -run 'TestSparse|TestConvertToSparse' ./internal/gp
-	$(GO) test -count=1 -run 'TestSweepPlanGroupMatchesSingle/sparse=true' ./internal/gp
+	$(GO) test -count=1 -run 'TestSweepPlanGroupMatchesSingle/sparse=true|TestSweepGateMatchesUngated/sparse=true' ./internal/gp
 	$(GO) test -count=1 -run 'TestSparse|TestAutoSwitch|TestEngine|TestCheckpointRestoreEquivalence|TestReadCheckpointInfoReportsEngine' ./internal/core
 	$(GO) test -count=1 -run 'TestLongHorizon' ./internal/experiment
 
@@ -61,15 +62,18 @@ sparse-equiv:
 # the SweepPlan sweep with the generic PosteriorBatch path over full and
 # arbitrary index lists, for one-member plans and for kernel groups of
 # 3–4 GPs (plus the group constructor's rejections and the agent's
-# grouping), the serial SelectControl allocation gate, bitwise agreement of SelectControl with the
+# grouping), the mean-gated sweep against the ungated one, the serial
+# SelectControl allocation gate, the soundness of the agent's eq. 8 mean
+# gates against the oracle (and their absence in budgeted mode), bitwise
+# agreement of SelectControl with the
 # test-only PosteriorBatch selection oracle on every period of small
 # (randomized, non-uniform, split-carrying) grids and the paper's 11^4
 # grid, the package-kernel contract, bounded regret within the evaluation
 # budget on grids above the auto threshold, grid index-algebra
 # properties, and the adaptive checkpoint round-trip.
 acq-equiv:
-	$(GO) test -count=1 -run 'TestSweepSubset|TestSweepPlanMatchesGeneric|TestSweepPlanGroup' ./internal/gp
-	$(GO) test -count=1 -run 'TestGridNonUniform|TestAcqEquiv|TestAgentSweepPlan|TestNewAgentRejectsForeignKernel|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint|TestSelectControlAllocs|TestLoadCheckpointRejectsDivergedPlanMembers' ./internal/core
+	$(GO) test -count=1 -run 'TestSweepSubset|TestSweepPlanMatchesGeneric|TestSweepPlanGroup|TestSweepGate' ./internal/gp
+	$(GO) test -count=1 -run 'TestGridNonUniform|TestAcqEquiv|TestAgentSweepPlan|TestNewAgentRejectsForeignKernel|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint|TestAcqGate|TestSelectControlAllocs|TestLoadCheckpointRejectsDivergedPlanMembers' ./internal/core
 
 # metrics-smoke boots the O-RAN deployment with -metrics, curls /metrics,
 # and greps for the documented core/gp/oran/testbed metric families.
@@ -90,14 +94,15 @@ fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
 # bench reruns the GP-inference benchmarks (posterior sweep over the
-# 14 641-point grid, full SelectControl periods and Observe; exact engine
+# 14 641-point grid, full SelectControl periods on random and on
+# paper-regime KPIs, and Observe; exact engine
 # at t ∈ {50, 200, 1000}, sparse inducing-point engine out to t = 10⁴)
 # and regenerates BENCH_gp.json, the reference bench-check gates against.
 bench:
 	$(GO) test -run '^$$' -bench 'PosteriorBatch|SelectControl|GridSweep|Observe' -benchtime 3x \
 		./internal/gp ./internal/core | tee results/bench_after.txt
 	$(GO) run ./cmd/benchjson -after results/bench_after.txt -out BENCH_gp.json \
-		-note "Exact entries: AVX fused-panel solves plus grid SweepPlan distance tables; the agent sweeps its cost, delay and mAP GPs through one shared plan (one cross-covariance column per candidate). vs_generic compares the SweepPlan against the generic PosteriorBatch path within the same run. engine=sparse entries are the m=128 inducing-point engine, flat in t; exact entries above t=1000 skip by policy. grid= entries compare the exhaustive sweep against the adaptive coarse-to-fine engine at t=200 as the control space grows to the 31^4x8 = 7.4M-candidate split-inference grid; 31^4x8 has no exhaustive twin (extrapolate x8 from grid=31p4). See DESIGN.md 9 and 14."
+		-note "Exact entries: AVX fused-panel solves plus grid SweepPlan distance tables; the agent sweeps its cost, delay and mAP GPs through one shared plan (one cross-covariance column per candidate) and, at full coverage, solves variances only for candidates whose means pass the eq. 8 mean gates. kpi=paper entries train on a testbed-shaped KPI surface (2.5% of the grid feasible); the other SelectControl entries train on random KPIs, the no-pruning worst case. vs_generic compares the SweepPlan against the generic PosteriorBatch path within the same run. engine=sparse entries are the m=128 inducing-point engine, flat in t; exact entries above t=1000 skip by policy. grid= entries compare the exhaustive sweep against the adaptive coarse-to-fine engine at t=200 as the control space grows to the 31^4x8 = 7.4M-candidate split-inference grid; 31^4x8 has no exhaustive twin (extrapolate x8 from grid=31p4). See DESIGN.md 9 and 14."
 	@echo "wrote BENCH_gp.json"
 	$(MAKE) bench-fleet
 

@@ -449,12 +449,19 @@ func (g *Graph) BlockOf(n ast.Node) *Block { return g.nodeBlock[n] }
 
 // NodeAt returns the block-level node spanning pos and its block. An
 // unreachable statement (dead code after return) yields (nil, nil).
+// A RangeStmt in its loop-head block spans only its key, value and range
+// operand: a position inside its body belongs to the body's own nodes,
+// which the loop head dominates but which it must not stand in for.
 func (g *Graph) NodeAt(pos token.Pos) (ast.Node, *Block) {
 	for _, blk := range g.Blocks {
 		for _, n := range blk.Nodes {
-			if n.Pos() <= pos && pos <= n.End() {
-				return n, blk
+			if n.Pos() > pos || pos > n.End() {
+				continue
 			}
+			if rs, ok := n.(*ast.RangeStmt); ok && rs.Body.Pos() <= pos && pos <= rs.Body.End() {
+				continue
+			}
+			return n, blk
 		}
 	}
 	return nil, nil

@@ -121,6 +121,48 @@ func TestGuardAfterUseDoesNotDominate(t *testing.T) {
 	}
 }
 
+const rangeSrc = `package p
+
+func sink(float64) {}
+
+func clampInRange(xs []float64) {
+	for b := range xs {
+		v := xs[b]
+		if v < 0 {
+			v = 0
+		}
+		sink(v)
+	}
+}
+`
+
+// TestNodeAtInsideRangeBody pins the lookup of a position inside a range
+// loop's body: it resolves to the body's own statement, not to the
+// RangeStmt the loop-head block holds, so the clamp's condition dominates
+// it.
+func TestNodeAtInsideRangeBody(t *testing.T) {
+	fd, _ := parseFunc(t, rangeSrc, "clampInRange")
+	g := New(fd.Body)
+	sinkNode, _ := findCall(t, g, fd, "sink")
+	if _, ok := sinkNode.(*ast.RangeStmt); ok {
+		t.Fatal("NodeAt resolved a body position to the enclosing RangeStmt")
+	}
+	var cond ast.Node
+	for c := range g.conds {
+		cond = c
+	}
+	if cond == nil {
+		t.Fatal("no condition recorded")
+	}
+	if !g.NodeDominates(cond, sinkNode) {
+		t.Error("the clamp condition should dominate the use after it in the loop body")
+	}
+	rs := fd.Body.List[0].(*ast.RangeStmt)
+	if at, _ := g.NodeAt(rs.X.Pos()); at != rs {
+		t.Errorf("range operand resolved to %T, want the RangeStmt", at)
+	}
+}
+
 func TestPanicTerminatesBlock(t *testing.T) {
 	fd, _ := parseFunc(t, guardSrc, "panicGuard")
 	g := New(fd.Body)

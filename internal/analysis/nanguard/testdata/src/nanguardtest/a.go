@@ -74,3 +74,32 @@ func guardAfterUse(a, b float64) float64 {
 	}
 	return r
 }
+
+func clampInRangeLoop(xs, out []float64, prior float64) {
+	for b := range xs {
+		v := prior - xs[b]
+		if v < 0 {
+			v = 0
+		}
+		out[b] = math.Sqrt(v) // clamped first inside a range loop: fine
+	}
+}
+
+func clampInNestedLoop(members [][]float64, prior float64) {
+	for k := range members {
+		for b := 0; b < len(members[k]); b++ {
+			v := prior - members[k][b]
+			if v < 0 {
+				v = 0
+			}
+			members[k][b] = math.Sqrt(v) // clamped first in a counted loop inside a range loop: fine
+		}
+	}
+}
+
+func unguardedInRangeLoop(xs, out []float64, prior float64) {
+	for b := range xs {
+		v := prior - xs[b]
+		out[b] = math.Sqrt(v) // want `math.Sqrt result can be NaN`
+	}
+}

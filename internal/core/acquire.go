@@ -12,11 +12,16 @@ import (
 // the s-th candidate evaluated this period. The engine runs in one of two
 // modes.
 //
-// Full coverage evaluates every grid point in grid order, so slot s is
-// grid index s and the selection is eq. 8/9 over the whole grid. It serves
+// Full coverage scores every grid point in grid order, so slot s is grid
+// index s and the selection is eq. 8/9 over the whole grid. It serves
 // AcqExhaustive at any grid size, AcqAuto at or below acqAutoThreshold
 // candidates (and at any size under AcquisitionSafeOpt), and AcqAdaptive
-// at or below the threshold.
+// at or below the threshold. Every point's posterior means are computed,
+// but with the safe set enabled its variances are solved only where eq. 8
+// can hold: a mean that already fails eq. 8 at σ = 0 proves the point
+// unsafe at any σ, so the sweep skips its O(t²) solves and reports
+// σ = +Inf (see flush). In the paper's regime that skips over 90 % of
+// the grid; the selection is unchanged bit for bit.
 //
 // Budgeted mode serves AcqAdaptive and AcqAuto above the threshold, where
 // sweeping the whole grid — e.g. the 31⁴×8 ≈ 7.4M-candidate spaces the
@@ -118,6 +123,11 @@ type acqEngine struct {
 	// seedSlot maps each Options.SafeSeed entry to its slot, aligned with
 	// Agent.safeSeedIx (duplicate seeds share a slot).
 	seedSlot []int32
+	// seedIdx, seedMu and seedSigma are the scratch of the gated sweep's
+	// seed re-sweep: the grid indices of the seeds a mean gate dropped and
+	// their posteriors, per objective (full coverage only).
+	seedIdx           []int32
+	seedMu, seedSigma [numObjectives][]float64
 	// topSlots is the refinement rounds' incumbent scratch.
 	topSlots []int32
 	// latIdx holds the per-dimension level indices of the coarse lattice.
@@ -129,6 +139,7 @@ type acqEngine struct {
 	cbuf                [ContextDims]float64
 	cf                  []float64
 	n, done             int // added and evaluated watermarks
+	solves              int // candidates whose variances were solved
 	dmaxN, rminN, zetaD float64
 	workers             int
 	refineRounds        int
@@ -192,6 +203,13 @@ func newAcqEngine(a *Agent) *acqEngine {
 		for k, gi := range a.safeSeedIx {
 			e.seedSlot[k] = int32(gi)
 		}
+		e.seedIdx = make([]int32, 0, len(a.safeSeedIx))
+		for i := range e.mu {
+			if e.mu[i] != nil {
+				e.seedMu[i] = make([]float64, len(a.safeSeedIx))
+				e.seedSigma[i] = make([]float64, len(a.safeSeedIx))
+			}
+		}
 	} else {
 		e.seen = make([]uint64, (size+63)/64)
 		e.heap = make([]int32, 0, e.maxEval)
@@ -208,6 +226,7 @@ func (e *acqEngine) reset(ctx Context) {
 	a := e.a
 	e.cf = ctx.appendFeatures(e.cbuf[:0])
 	e.n, e.done = 0, 0
+	e.solves = 0
 	e.refineRounds = 0
 	e.budgetHit = false
 	e.flooding = false
@@ -540,6 +559,15 @@ func (e *acqEngine) flood() {
 // across the inference workers — then the decomposed-cost combination and
 // the safety/LCB scoring. During the flood, newly scored slots join the
 // priority queue.
+//
+// At full coverage with the safe set enabled, a plan holding the delay or
+// mAP GP sweeps under the eq. 8 mean gates (see meanGates): a candidate
+// whose means already fail eq. 8 keeps its exact means but gets σ = +Inf
+// without a variance solve, which scoreRange classifies unsafe like any
+// other failure. Seeds need their posteriors whatever eq. 8 says — for
+// retirement, the fallback and the diagnostics — so gated-out seeds are
+// re-swept ungated. Budgeted mode stays ungated: the rank and LCB of every
+// evaluated slot order its multigrid and flood.
 func (e *acqEngine) flush() {
 	lo, hi := e.done, e.n
 	if lo == hi {
@@ -553,7 +581,11 @@ func (e *acqEngine) flush() {
 			grp.mu[j] = e.mu[o][lo:hi]
 			grp.sigma[j] = e.sigma[o][lo:hi]
 		}
-		grp.plan.SweepSubset(e.cf, idxs, grp.mu, grp.sigma, e.workers)
+		gates := e.meanGates(grp)
+		e.solves += grp.plan.SweepSubset(e.cf, idxs, gates, grp.mu, grp.sigma, e.workers)
+		if gates != nil {
+			e.resweepSeeds(grp)
+		}
 	}
 	if a.opts.DecomposedCost {
 		// Combine the power posteriors into a cost posterior in raw
@@ -578,6 +610,79 @@ func (e *acqEngine) flush() {
 		}
 	}
 	e.done = hi
+}
+
+// meanGates returns a plan's eq. 8 mean gates, or nil when its sweep must
+// solve every candidate: in budgeted mode, with the safe set disabled, or
+// when the plan holds neither the delay nor the mAP GP. Each gate is
+// scoreRange's test written as the same floating-point expression at
+// σ = 0; since σ ≥ 0, predSigma is non-decreasing in σ and rounding is
+// monotone, a candidate failing the gate fails scoreRange at its true σ.
+func (e *acqEngine) meanGates(grp *sweepGroup) []gp.MeanGate {
+	a := e.a
+	if !e.full || a.opts.DisableSafeSet {
+		return nil
+	}
+	sb := a.opts.SafeBeta
+	gates := grp.gates[:0]
+	for j, o := range grp.objs {
+		switch o {
+		case gpDelay:
+			// μ + β·predSigma(0, ζ_d) ≤ d^max.
+			gates = append(gates, gp.MeanGate{Member: j, Offset: sb * predSigma(0, e.zetaD),
+				Lo: math.Inf(-1), Hi: e.dmaxN})
+		case gpMAP:
+			// μ − β·0 ≥ ρ^min, as μ + (−(β·0)): a − b is exactly a + (−b).
+			gates = append(gates, gp.MeanGate{Member: j, Offset: -(sb * 0),
+				Lo: e.rminN, Hi: math.Inf(1)})
+		}
+	}
+	grp.gates = gates
+	if len(gates) == 0 {
+		return nil
+	}
+	return gates
+}
+
+// resweepSeeds re-sweeps, ungated, the seed slots a plan's gated sweep
+// left at σ = +Inf, writing their posteriors back into the slot arrays.
+// SweepSubset is bitwise independent of the index list, so the result is
+// exactly what an ungated full sweep would have given them. Full coverage
+// only (slot == grid index).
+func (e *acqEngine) resweepSeeds(grp *sweepGroup) {
+	lead := e.sigma[grp.objs[0]]
+	e.seedIdx = e.seedIdx[:0]
+	for _, s := range e.seedSlot {
+		if !math.IsInf(lead[s], 1) || containsSlot(e.seedIdx, s) {
+			continue
+		}
+		e.seedIdx = append(e.seedIdx, s)
+	}
+	if len(e.seedIdx) == 0 {
+		return
+	}
+	m := len(e.seedIdx)
+	for j, o := range grp.objs {
+		grp.mu[j] = e.seedMu[o][:m]
+		grp.sigma[j] = e.seedSigma[o][:m]
+	}
+	e.solves += grp.plan.SweepSubset(e.cf, e.seedIdx, nil, grp.mu, grp.sigma, e.workers)
+	for j, o := range grp.objs {
+		for i, s := range e.seedIdx {
+			e.mu[o][s] = grp.mu[j][i]
+			e.sigma[o][s] = grp.sigma[j][i]
+		}
+	}
+}
+
+// containsSlot reports whether s is among slots.
+func containsSlot(slots []int32, s int32) bool {
+	for _, v := range slots {
+		if v == s {
+			return true
+		}
+	}
+	return false
 }
 
 // scoreRange applies the eq. 8 safety test and the eq. 9 LCB to freshly
@@ -696,6 +801,7 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 	a.met.lcb.Set(bestLCB)
 	a.met.sweep.Observe(info.SweepSeconds)
 	a.met.acqCandidates.Add(uint64(e.n))
+	a.met.acqSolves.Add(uint64(e.solves))
 	a.met.acqRefines.Add(uint64(e.refineRounds))
 	if e.budgetHit {
 		a.met.acqFallback.Inc()

@@ -470,10 +470,12 @@ type agentMetrics struct {
 	trainSize    *telemetry.Gauge
 	sweep        *telemetry.Histogram
 
-	// Acquisition-engine instrumentation: candidates whose posterior was
-	// actually computed, multigrid refinement rounds, budget-exhaustion
-	// fallbacks, and the selection latency split by engine mode.
+	// Acquisition-engine instrumentation: candidates scored, candidates
+	// whose posterior variances were solved, multigrid refinement rounds,
+	// budget-exhaustion fallbacks, and the selection latency split by
+	// engine mode.
 	acqCandidates *telemetry.Counter
+	acqSolves     *telemetry.Counter
 	acqRefines    *telemetry.Counter
 	acqFallback   *telemetry.Counter
 	acqLatency    *telemetry.Histogram
@@ -489,12 +491,14 @@ type agentMetrics struct {
 
 // sweepGroup is one sweep plan with the objectives it fills: member k of
 // plan writes the slot posteriors of objective objs[k] (a gpCost…objBSPower
-// index). mu and sigma are per-flush views into those slot arrays, kept to
-// spare the flush an allocation.
+// index). mu and sigma are per-flush views into those slot arrays, and
+// gates the flush's eq. 8 mean gates, all kept to spare the flush an
+// allocation.
 type sweepGroup struct {
 	plan      *gp.SweepPlan
 	objs      []int
 	mu, sigma [][]float64
+	gates     []gp.MeanGate
 }
 
 // SelectionInfo reports diagnostics from one acquisition step.
@@ -511,9 +515,11 @@ type SelectionInfo struct {
 	// Both modes run the one acquisition engine; an adaptive agent on a
 	// grid at or below the threshold still runs it at full coverage.
 	Adaptive bool
-	// CandidatesEvaluated is the number of grid points whose posterior
-	// was computed this period — the grid size at full coverage,
-	// typically a few percent of it in budgeted mode.
+	// CandidatesEvaluated is the number of grid points scored this
+	// period — the grid size at full coverage, typically a few percent of
+	// it in budgeted mode. At full coverage a point whose means already
+	// fail eq. 8 is scored without its variances being solved; the
+	// edgebol_acq_variance_solves_total counter counts the solved ones.
 	CandidatesEvaluated int
 	// RefineRounds is the number of multigrid refinement rounds the
 	// budgeted mode ran (0 at full coverage).
@@ -591,6 +597,7 @@ func NewAgent(opts Options) (*Agent, error) {
 		ckptRestoreLat:   opts.Telemetry.Histogram("edgebol_ckpt_restore_seconds", telemetry.LatencyBuckets()),
 
 		acqCandidates: opts.Telemetry.Counter("edgebol_acq_candidates_evaluated"),
+		acqSolves:     opts.Telemetry.Counter("edgebol_acq_variance_solves_total"),
 		acqRefines:    opts.Telemetry.Counter("edgebol_acq_refine_rounds"),
 		acqFallback:   opts.Telemetry.Counter("edgebol_acq_fallback_total"),
 		acqLatency: opts.Telemetry.Histogram("edgebol_acq_select_seconds",
@@ -694,6 +701,7 @@ func (a *Agent) buildPlans() error {
 		}
 		grp.mu = make([][]float64, len(members))
 		grp.sigma = make([][]float64, len(members))
+		grp.gates = make([]gp.MeanGate, 0, 2)
 	}
 	return nil
 }

@@ -201,8 +201,8 @@ func runOracleCase(t *testing.T, opts Options, periods int) {
 // lockstep, the cost GP of a decomposed-cost agent is untouched, the
 // period counter accounts for every retained row — equal to it until the
 // first eviction, above it afterwards — the members of every sweep plan
-// share one basis, and the last selection's posterior σ are within the
-// prior.
+// share one basis, the last selection's posterior σ are within the prior,
+// and its seed and safe slots have finite σ.
 func checkInvariants(t testing.TB, a *Agent) {
 	t.Helper()
 	trained := []*gp.GP{a.gps[gpDelay], a.gps[gpMAP]}
@@ -230,6 +230,32 @@ func checkInvariants(t testing.TB, a *Agent) {
 	}
 	checkPlanMembers(t, a)
 	checkSelectionSigmas(t, a)
+	checkSlotSigmas(t, a)
+}
+
+// checkSlotSigmas asserts that the last selection solved the variances
+// its rules read: every seed slot and every slot it marked safe has a
+// finite σ for every swept objective. A gated sweep may leave any other
+// slot at σ = +Inf.
+func checkSlotSigmas(t testing.TB, a *Agent) {
+	t.Helper()
+	e := a.acq
+	finite := func(what string, s int) {
+		t.Helper()
+		for o := range e.sigma {
+			if e.sigma[o] != nil && math.IsInf(e.sigma[o][s], 0) {
+				t.Fatalf("%s slot %d (grid %d): objective %d σ is %v", what, s, e.idx[s], o, e.sigma[o][s])
+			}
+		}
+	}
+	for _, s := range e.seedSlot {
+		finite("seed", int(s))
+	}
+	for s := 0; s < e.n; s++ {
+		if e.safe[s] {
+			finite("safe", s)
+		}
+	}
 }
 
 // checkPlanMembers asserts that the members of every sweep plan share one

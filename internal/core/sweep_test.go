@@ -149,16 +149,22 @@ func TestAgentSweepPlanGroups(t *testing.T) {
 }
 
 // TestSelectControlAllocs is a host-independent performance gate: one
-// serial SelectControl on the paper's 11⁴ grid at t = 50 allocates a
-// fixed number of times — the sweep's per-shard tile buffers, once per
-// kernel group rather than once per objective. A regression that brings
-// back per-objective plans, or allocates per candidate, fails it.
+// serial SelectControl on the paper's 11⁴ grid at t = 50 does not
+// allocate, neither on random KPIs (the ungated worst case) nor in the
+// paper's regime (gated sweep plus seed re-sweep). The sweep plan owns
+// its per-shard column panels and solver scratch, and the engine its
+// slot arrays and seed re-sweep buffers; a regression that allocates per
+// sweep, per kernel group or per candidate fails it.
 func TestSelectControlAllocs(t *testing.T) {
 	opts := benchOptions(DefaultGridSpec(), AcqAuto, EngineExact)
 	opts.InferenceWorkers = 1
 	a, ctx := benchAgentOpts(t, 50, opts)
-	const maxAllocs = 8
+	paper := benchAgentPaper(t, 50, opts)
+	const maxAllocs = 0
 	if got := testing.AllocsPerRun(3, func() { a.SelectControl(ctx) }); got > maxAllocs {
 		t.Fatalf("SelectControl allocated %v times per period, want at most %d", got, maxAllocs)
+	}
+	if got := testing.AllocsPerRun(3, func() { paper.SelectControl(paperContext) }); got > maxAllocs {
+		t.Fatalf("paper-regime SelectControl allocated %v times per period, want at most %d", got, maxAllocs)
 	}
 }

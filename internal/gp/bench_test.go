@@ -185,7 +185,7 @@ func BenchmarkGridSweep(b *testing.B) {
 		mus, sigmas := [][]float64{mu}, [][]float64{sigma}
 		b.Run(fmt.Sprintf("t=%d/engine=plan", t), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				plan.SweepSubset(ctx, all, mus, sigmas, 0)
+				plan.SweepSubset(ctx, all, nil, mus, sigmas, 0)
 			}
 		})
 	}

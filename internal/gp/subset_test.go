@@ -61,7 +61,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 				size := p.GridSize()
 				refMu := make([]float64, size)
 				refSigma := make([]float64, size)
-				p.SweepSubset(ctx, gridIndices(size), [][]float64{refMu}, [][]float64{refSigma}, 1)
+				p.SweepSubset(ctx, gridIndices(size), nil, [][]float64{refMu}, [][]float64{refSigma}, 1)
 
 				subsets := [][]int32{
 					{},                                    // empty subset is a no-op
@@ -81,7 +81,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 					for _, workers := range []int{1, 0, 2, 3, 8} {
 						mu := make([]float64, len(idxs))
 						sigma := make([]float64, len(idxs))
-						p.SweepSubset(ctx, idxs, [][]float64{mu}, [][]float64{sigma}, workers)
+						p.SweepSubset(ctx, idxs, nil, [][]float64{mu}, [][]float64{sigma}, workers)
 						for j, gi := range idxs {
 							if !bitsEqual(mu[j], refMu[gi]) || !bitsEqual(sigma[j], refSigma[gi]) {
 								t.Fatalf("subset %d workers=%d slot %d (grid %d): subset (%x, %x), sweep (%x, %x)",
@@ -107,7 +107,7 @@ func TestSweepSubsetEmptyGP(t *testing.T) {
 	idxs := []int32{5, 0, 11}
 	mu := make([]float64, len(idxs))
 	sigma := make([]float64, len(idxs))
-	p.SweepSubset([]float64{0.4}, idxs, [][]float64{mu}, [][]float64{sigma}, 2)
+	p.SweepSubset([]float64{0.4}, idxs, nil, [][]float64{mu}, [][]float64{sigma}, 2)
 	for j := range idxs {
 		if !bitsEqual(mu[j], 0) {
 			t.Fatalf("slot %d: prior mean %v, want 0", j, mu[j])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/linalg"
@@ -51,7 +52,9 @@ import (
 // in the same two even/odd chains, in the same order, as the kernel's
 // scaledSqDistInv — the context dimensions come first, so the per-period
 // context partials are valid prefixes of both chains — and the solve path
-// is the same fused tiled solve.
+// is the same fused tiled solve. Under mean gates the contract holds for
+// every mean and for the σ of every candidate that passes; a candidate
+// that fails a gate reports σ = +Inf (see MeanGate).
 //
 // Telemetry: the plan reports through its members' own series (see
 // GP.Instrument). Every member's edgebol_gp_sweep_plan_* series counts the
@@ -60,9 +63,9 @@ import (
 //
 // Concurrency: like the GP read path, SweepSubset must not run
 // concurrently with Add on any member or with another SweepSubset on the
-// same plan (it refreshes the distance tables); distinct plans over
-// distinct GPs may sweep concurrently, and SweepSubset shards its own work
-// internally.
+// same plan (it refreshes the distance tables and reuses the plan's
+// per-shard scratch); distinct plans over distinct GPs may sweep
+// concurrently, and SweepSubset shards its own work internally.
 type SweepPlan struct {
 	members []*GP
 	ctxDims int
@@ -82,6 +85,10 @@ type SweepPlan struct {
 	// c0/c1 are the per-period context partials: the even/odd chain
 	// prefixes over the context dimensions, one entry per basis row.
 	c0, c1 []float64
+	// alphas holds each member's mean weights for the current sweep.
+	alphas [][]float64
+	// shards holds one scratch set per sweep worker.
+	shards []sweepShard
 }
 
 // kernelTail identifies the covariance tail κ(d²) applied to the
@@ -181,6 +188,7 @@ func NewSweepPlan(members []*GP, ctxDims int, levels [][]float64) (*SweepPlan, e
 		levels:  make([][]float64, len(levels)),
 		size:    size,
 		tables:  make([][][]float64, len(levels)),
+		alphas:  make([][]float64, len(members)),
 	}
 	for i, l := range ls {
 		//edgebol:allow nanguard -- length scales are validated positive by checkLengthScales at construction
@@ -294,11 +302,8 @@ func (p *SweepPlan) sync(n int) {
 // Because the context dimensions precede the control dimensions, each
 // partial is the exact floating-point prefix of its chain.
 func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
-	if cap(p.c0) < n {
-		p.c0 = make([]float64, n)
-		p.c1 = make([]float64, n)
-	}
-	c0, c1 = p.c0[:n], p.c1[:n]
+	p.c0, p.c1 = growFloats(p.c0, n), growFloats(p.c1, n)
+	c0, c1 = p.c0, p.c1
 	lead := p.members[0]
 	dim := lead.dim
 	bxs := lead.basisXs()
@@ -318,19 +323,71 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 	return c0, c1
 }
 
+// MeanGate is a necessary condition on one member's posterior mean that
+// a candidate must meet for its variance to be worth solving. It passes
+// when
+//
+//	Lo <= μ + Offset && μ + Offset <= Hi
+//
+// evaluated exactly as written: μ + Offset rounded once, then both
+// comparisons (a NaN fails). Member indexes the plan's members, in the
+// order given to NewSweepPlan. A caller whose acceptance test has the
+// form μ + f(σ) ≤ Hi (or ≥ Lo) with f non-decreasing in σ ≥ 0 sets
+// Offset = f(0), written as the same floating-point expression its test
+// evaluates: rounding is monotone, so a failed gate proves the test fails
+// at every σ and the variance cannot change the caller's verdict.
+type MeanGate struct {
+	Member         int
+	Offset, Lo, Hi float64
+}
+
+// gatesPass reports whether output j's means meet every gate.
+//
+//edgebol:hot
+func gatesPass(gates []MeanGate, mu [][]float64, j int) bool {
+	for _, g := range gates {
+		v := mu[g.Member][j] + g.Offset
+		if !(v >= g.Lo && v <= g.Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// blocksPerWorker is how many blocks of the index list a parallel sweep
+// cuts per worker. Workers claim blocks dynamically, so a worker whose
+// candidates mostly fail their gates does not idle while another solves;
+// the per-column math is independent of who claims what.
+const blocksPerWorker = 32
+
 // SweepSubset evaluates every member's posterior at the grid points whose
 // flat indices are listed in idxs (each in [0, GridSize()), enumeration
 // order), writing member k's means and standard deviations into mu[k] and
 // sigma[k] (each of length len(idxs), parallel to idxs; mu and sigma hold
-// one slice per member, in the order given to NewSweepPlan). Output j of
+// one slice per member, in the order given to NewSweepPlan). It is the
+// plan's only sweep: the full grid is the identity index list, a budgeted
+// search passes the candidates it chose. It returns the number of
+// candidates whose variances it solved.
+//
+// Gates: with no gates every candidate is solved, and output j of
 // member k equals that member's PosteriorBatch at the features of grid
-// point idxs[j] bitwise, for every worker count and any subset
-// composition: the per-column math is independent of how columns are
-// tiled or sharded. It is the plan's only
-// sweep: the full grid is the identity index list, a budgeted search
-// passes the candidates it chose, and a period costs O(len(idxs)) column
-// builds plus one solve per candidate and member.
-func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma [][]float64, workers int) {
+// point idxs[j] bitwise. Otherwise every candidate's means are computed
+// first — one dot product of its column with each member's weights, the
+// same ascending chain as the fused solve's mean, so still bitwise the
+// PosteriorBatch mean — and only a candidate that passes every gate is
+// solved: its σ are again bitwise PosteriorBatch's. A candidate that
+// fails a gate gets σ = +Inf for every member. Either way the results are
+// bitwise independent of the worker count and of the index list's
+// composition: the per-column math does not depend on how columns are
+// batched or sharded.
+//
+// Cost: one column build per candidate, plus one O(n²) solve per solved
+// candidate and member (n the basis size). Survivors are collected into
+// a per-shard panel of sweepTile columns, so the fused solve runs at full
+// panel width however sparse they are. The scratch is owned by the plan,
+// one set per shard, and grows amortized with the basis: a sweep at an
+// unchanged basis size does not allocate on the serial path.
+func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, gates []MeanGate, mu, sigma [][]float64, workers int) int {
 	if len(ctx) != p.ctxDims {
 		panic(fmt.Sprintf("gp: SweepSubset context dimension %d does not match plan's %d", len(ctx), p.ctxDims))
 	}
@@ -341,6 +398,11 @@ func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma [][]float
 		if len(mu[k]) != len(idxs) || len(sigma[k]) != len(idxs) {
 			panic(fmt.Sprintf("gp: SweepSubset member %d output lengths %d, %d do not match %d indices",
 				k, len(mu[k]), len(sigma[k]), len(idxs)))
+		}
+	}
+	for _, g := range gates {
+		if g.Member < 0 || g.Member >= len(p.members) {
+			panic(fmt.Sprintf("gp: SweepSubset gate on member %d of a %d-member plan", g.Member, len(p.members)))
 		}
 	}
 	// Members are instrumented together, so member 0's handle gates the
@@ -356,104 +418,223 @@ func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma [][]float
 	}
 	n := p.basisLen()
 	if n == 0 {
-		for k, g := range p.members {
-			//edgebol:allow nanguard -- prior variance is positive by the Kernel contract (Prior is k(x,x) > 0)
-			prior := math.Sqrt(g.kernel.Prior())
-			for i := range mu[k] {
-				mu[k][i] = 0
-				sigma[k][i] = prior
-			}
-		}
-		return
+		return p.sweepPrior(idxs, gates, mu, sigma)
 	}
 	p.sync(n)
 	c0, c1 := p.contextPartials(ctx, n)
+	for k, g := range p.members {
+		p.alphas[k] = g.meanWeights()
+	}
 	m := len(idxs)
 	workers = ResolveWorkers(n*len(p.members), m, workers)
-	if workers <= 1 {
-		p.sweepSubsetRange(idxs, 0, m, c0, c1, mu, sigma)
-		return
+	for len(p.shards) < workers {
+		p.shards = append(p.shards, sweepShard{})
 	}
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + sweepTile - 1) / sweepTile * sweepTile
+	for w := 0; w < workers; w++ {
+		p.shards[w].prepare(p, n)
+	}
+	if workers <= 1 {
+		sh := &p.shards[0]
+		p.sweepRange(sh, idxs, 0, m, gates, c0, c1, mu, sigma)
+		p.solvePending(sh, mu, sigma)
+		return sh.solved
+	}
+	block := (m + workers*blocksPerWorker - 1) / (workers * blocksPerWorker)
+	block = (block + sweepTile - 1) / sweepTile * sweepTile
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(sh *sweepShard) {
 			defer wg.Done()
-			p.sweepSubsetRange(idxs, lo, hi, c0, c1, mu, sigma)
-		}(lo, hi)
+			for {
+				lo := int(next.Add(int64(block))) - block
+				if lo >= m {
+					break
+				}
+				p.sweepRange(sh, idxs, lo, min(lo+block, m), gates, c0, c1, mu, sigma)
+			}
+			p.solvePending(sh, mu, sigma)
+		}(&p.shards[w])
 	}
 	wg.Wait()
+	solved := 0
+	for w := 0; w < workers; w++ {
+		solved += p.shards[w].solved
+	}
+	return solved
 }
 
-// sweepSubsetRange evaluates positions [lo, hi) of idxs: per candidate,
-// decode its level indices and assemble the cross-covariance column from
-// the distance tables and context partials — once for the whole group —
-// then run tiles of sweepTile columns through each member's fused solve,
-// the same tiling as posteriorRange, so shard boundaries never change
-// results. The fused solve overwrites its right-hand sides, so every
-// member but the last solves a copy of the tile. Sparse engine: the
-// columns are cross-covariances to the inducing basis and each member
-// solves them against both of its m-sized factors, the same dual-solve
-// shape as posteriorRange. Results land at the same positions of mu[k]
-// and sigma[k].
+// sweepPrior fills the outputs of an empty basis: every member's prior
+// mean 0 and σ = √prior, or σ = +Inf where a gate fails. It returns the
+// number of candidates that passed.
+func (p *SweepPlan) sweepPrior(idxs []int32, gates []MeanGate, mu, sigma [][]float64) int {
+	for k, g := range p.members {
+		//edgebol:allow nanguard -- prior variance is positive by the Kernel contract (Prior is k(x,x) > 0)
+		prior := math.Sqrt(g.kernel.Prior())
+		for j := range idxs {
+			mu[k][j] = 0
+			sigma[k][j] = prior
+		}
+	}
+	solved := 0
+	for j := range idxs {
+		if gatesPass(gates, mu, j) {
+			solved++
+			continue
+		}
+		for k := range sigma {
+			sigma[k][j] = math.Inf(1)
+		}
+	}
+	return solved
+}
+
+// meanWeights returns the vector whose dot product with a candidate's
+// cross-covariance column is the posterior mean: α on the exact engine,
+// the sparse engine's α against the inducing basis.
+func (g *GP) meanWeights() []float64 {
+	if g.sp != nil {
+		return g.sp.alpha
+	}
+	return g.alpha
+}
+
+// sweepShard is one sweep worker's scratch: the pending panel of up to
+// sweepTile assembled columns awaiting the fused solve, with the output
+// positions they came from, the copies of it the members' solves consume,
+// and the column decode buffers. A plan owns one per worker and reuses it
+// across sweeps.
+type sweepShard struct {
+	solver linalg.FusedSolver
+	// cols holds the pending columns contiguously; work is the copy every
+	// member but the last solves, work2 the sparse engine's second copy
+	// for the K_mm solve.
+	cols, work, work2   []float64
+	colViews, workViews [sweepTile][]float64
+	views2              [sweepTile][]float64
+	pos                 [sweepTile]int
+	np                  int // pending columns
+	solved              int // candidates solved this sweep
+	mu, sigma           [sweepTile]float64
+	li                  []int
+	rowsE, rowsO        [][]float64
+}
+
+// prepare sizes the shard's scratch for a basis of n rows and resets its
+// per-sweep state. Buffers grow amortized, so a basis that grows by a row
+// per period reallocates only every few dozen periods.
+func (sh *sweepShard) prepare(p *SweepPlan, n int) {
+	if sh.li == nil {
+		// The decode buffers are written per candidate and the shards'
+		// are allocated back to back: a cache line of spare capacity
+		// keeps two workers from writing to one line.
+		const pad = 8
+		sh.li = make([]int, len(p.levels), len(p.levels)+pad)
+		sh.rowsE = make([][]float64, len(p.evens), len(p.evens)+pad)
+		sh.rowsO = make([][]float64, len(p.odds), len(p.odds)+pad)
+	}
+	sh.cols = growFloats(sh.cols, sweepTile*n)
+	if len(p.members) > 1 {
+		sh.work = growFloats(sh.work, sweepTile*n)
+	}
+	if p.members[0].sp != nil {
+		sh.work2 = growFloats(sh.work2, sweepTile*n)
+	}
+	for b := 0; b < sweepTile; b++ {
+		sh.colViews[b] = sh.cols[b*n : (b+1)*n]
+		if sh.work != nil {
+			sh.workViews[b] = sh.work[b*n : (b+1)*n]
+		}
+		if sh.work2 != nil {
+			sh.views2[b] = sh.work2[b*n : (b+1)*n]
+		}
+	}
+	sh.np, sh.solved = 0, 0
+}
+
+// growFloats returns buf resliced to length size, reallocating with 50 %
+// headroom when its capacity is short.
+func growFloats(buf []float64, size int) []float64 {
+	if cap(buf) < size {
+		buf = make([]float64, size, size+size/2)
+	}
+	return buf[:size]
+}
+
+// sweepRange evaluates positions [lo, hi) of idxs into the shard: per
+// candidate, decode its level indices and assemble its cross-covariance
+// column from the distance tables and context partials — once for the
+// whole group — straight into the next free slot of the pending panel.
+// With gates, the candidate's means are taken by dot product and a
+// candidate failing a gate gets σ = +Inf and releases its slot; every
+// other candidate stays pending, and a full panel is solved at once.
 //
 //edgebol:hot
-func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1 []float64, mu, sigma [][]float64) {
-	n := p.rows
-	sparse := p.members[0].sp != nil
-	tile := hi - lo
-	if tile > sweepTile {
-		tile = sweepTile
+func (p *SweepPlan) sweepRange(sh *sweepShard, idxs []int32, lo, hi int, gates []MeanGate, c0, c1 []float64, mu, sigma [][]float64) {
+	for j := lo; j < hi; j++ {
+		p.levelIndices(int(idxs[j]), sh.li)
+		for e, d := range p.evens {
+			sh.rowsE[e] = p.tables[d][sh.li[d]][:p.rows]
+		}
+		for o, d := range p.odds {
+			sh.rowsO[o] = p.tables[d][sh.li[d]][:p.rows]
+		}
+		col := sh.colViews[sh.np]
+		fillSqDist(col, c0, c1, sh.rowsE, sh.rowsO)
+		p.applyTail(col)
+		if len(gates) > 0 {
+			for k, alpha := range p.alphas {
+				mu[k][j] = linalg.Dot(col, alpha)
+			}
+			if !gatesPass(gates, mu, j) {
+				for k := range sigma {
+					sigma[k][j] = math.Inf(1)
+				}
+				continue
+			}
+		}
+		sh.pos[sh.np] = j
+		sh.np++
+		if sh.np == sweepTile {
+			p.solvePending(sh, mu, sigma)
+		}
 	}
-	cols, colViews := tileBuffer(tile, n)
-	var work, work2 []float64
-	var workViews, views2 [][]float64
-	if len(p.members) > 1 {
-		work, workViews = tileBuffer(tile, n)
+}
+
+// solvePending runs every member's fused solve over the shard's pending
+// columns and scatters the posteriors to the positions they came from.
+// The fused solve overwrites its right-hand sides, so every member but
+// the last solves a copy of the panel. Sparse engine: the columns are
+// cross-covariances to the inducing basis and each member solves them
+// against both of its m-sized factors, the same dual-solve shape as
+// posteriorRange.
+//
+//edgebol:hot
+func (p *SweepPlan) solvePending(sh *sweepShard, mu, sigma [][]float64) {
+	m := sh.np
+	if m == 0 {
+		return
 	}
-	if sparse {
-		work2, views2 = tileBuffer(tile, n)
-	}
-	var solver linalg.FusedSolver
-	li := make([]int, len(p.levels))
-	rowsE := make([][]float64, len(p.evens))
-	rowsO := make([][]float64, len(p.odds))
+	size := m * p.rows
 	last := len(p.members) - 1
-	for base := lo; base < hi; base += tile {
-		m := hi - base
-		if m > tile {
-			m = tile
+	for k, g := range p.members {
+		if g.sp != nil {
+			copy(sh.work2[:size], sh.cols[:size])
 		}
-		for b := 0; b < m; b++ {
-			p.levelIndices(int(idxs[base+b]), li)
-			for e, d := range p.evens {
-				rowsE[e] = p.tables[d][li[d]][:n]
-			}
-			for o, d := range p.odds {
-				rowsO[o] = p.tables[d][li[d]][:n]
-			}
-			col := colViews[b]
-			fillSqDist(col, c0, c1, rowsE, rowsO)
-			p.applyTail(col)
+		views := sh.colViews[:m]
+		if k < last {
+			copy(sh.work[:size], sh.cols[:size])
+			views = sh.workViews[:m]
 		}
-		for k, g := range p.members {
-			if sparse {
-				copy(work2[:m*n], cols[:m*n])
-			}
-			views := colViews
-			if k < last {
-				copy(work[:m*n], cols[:m*n])
-				views = workViews
-			}
-			solveTile(&solver, g, views[:m], views2, mu[k][base:base+m], sigma[k][base:base+m])
+		solveTile(&sh.solver, g, views, sh.views2[:m], sh.mu[:m], sh.sigma[:m])
+		for b, j := range sh.pos[:m] {
+			mu[k][j] = sh.mu[b]
+			sigma[k][j] = sh.sigma[b]
 		}
 	}
+	sh.solved += m
+	sh.np = 0
 }
 
 // solveTile runs member g's fused solve over one tile of assembled
@@ -487,17 +668,6 @@ func solveTile(solver *linalg.FusedSolver, g *GP, views, views2 [][]float64, mu,
 		}
 		sigma[b] = math.Sqrt(v)
 	}
-}
-
-// tileBuffer allocates one tile of `tile` columns of length n and its
-// per-column views.
-func tileBuffer(tile, n int) ([]float64, [][]float64) {
-	buf := make([]float64, tile*n)
-	views := make([][]float64, tile)
-	for b := range views {
-		views[b] = buf[b*n : (b+1)*n]
-	}
-	return buf, views
 }
 
 // levelIndices decodes a grid index into per-dimension level indices,

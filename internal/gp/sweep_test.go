@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -94,7 +95,7 @@ func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, level
 	for _, workers := range []int{1, 0, 2, 3, 8} {
 		mu := make([]float64, len(feats))
 		sigma := make([]float64, len(feats))
-		p.SweepSubset(ctx, gridIndices(len(feats)), [][]float64{mu}, [][]float64{sigma}, workers)
+		p.SweepSubset(ctx, gridIndices(len(feats)), nil, [][]float64{mu}, [][]float64{sigma}, workers)
 		for i := range feats {
 			if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
 				t.Fatalf("workers=%d grid point %d: plan (%x, %x), generic (%x, %x)",
@@ -262,7 +263,7 @@ func TestSweepPlanTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 
 	addGroupObs(t, members, 2, rng)
-	p.SweepSubset(ctx, all, mu, sigma, 1)
+	p.SweepSubset(ctx, all, nil, mu, sigma, 1)
 	requireCounter("edgebol_gp_sweep_plan_refreshes_total", "append", 1)
 	requireRows("append", 12)
 
@@ -270,7 +271,7 @@ func TestSweepPlanTelemetry(t *testing.T) {
 	if members[0].Evictions() == 0 {
 		t.Fatal("expected an eviction")
 	}
-	p.SweepSubset(ctx, all, mu, sigma, 1)
+	p.SweepSubset(ctx, all, nil, mu, sigma, 1)
 	// The construction-time build is not counted: builds are rebuilds.
 	requireCounter("edgebol_gp_sweep_plan_builds_total", "eviction", 1)
 	for _, name := range names {
@@ -352,7 +353,7 @@ func requireGroupMatches(t *testing.T, members []*GP, p *SweepPlan, ctx []float6
 	}
 	for _, workers := range []int{1, 2, 3} {
 		mu, sigma := groupOutputs(len(members), len(idxs))
-		p.SweepSubset(ctx, idxs, mu, sigma, workers)
+		p.SweepSubset(ctx, idxs, nil, mu, sigma, workers)
 		for k := range members {
 			for j := range idxs {
 				if !bitsEqual(mu[k][j], refMu[k][j]) || !bitsEqual(sigma[k][j], refSigma[k][j]) {
@@ -504,7 +505,7 @@ func TestSweepPlanGroupDivergencePanics(t *testing.T) {
 	}()
 	idxs := gridIndices(p.GridSize())
 	mu, sigma := groupOutputs(len(members), len(idxs))
-	p.SweepSubset([]float64{0.5}, idxs, mu, sigma, 1)
+	p.SweepSubset([]float64{0.5}, idxs, nil, mu, sigma, 1)
 }
 
 // TestResolveWorkers pins the auto-scaling policy: explicit counts are
@@ -527,4 +528,199 @@ func TestResolveWorkers(t *testing.T) {
 	if max := ResolveWorkers(100000, 100000, 1<<20); big > max {
 		t.Fatalf("auto workers %d exceeded explicit cap %d", big, max)
 	}
+}
+
+// gateSets returns the gate configurations TestSweepGateMatchesUngated
+// sweeps under, cut from the reference means of a k-member plan so that
+// every set keeps some candidates and drops others: an upper bound with a
+// positive offset on member 0, a lower bound on the last member, both
+// together, a band with a negative offset on a middle member, one gate
+// that drops everything and one that keeps everything.
+func gateSets(refMu [][]float64) map[string][]MeanGate {
+	quantile := func(k int, q float64) float64 {
+		v := append([]float64(nil), refMu[k]...)
+		sort.Float64s(v)
+		return v[int(q*float64(len(v)-1))]
+	}
+	last := len(refMu) - 1
+	upper := MeanGate{Member: 0, Offset: 0.125, Lo: math.Inf(-1), Hi: quantile(0, 0.6) + 0.125}
+	lower := MeanGate{Member: last, Lo: quantile(last, 0.3), Hi: math.Inf(1)}
+	return map[string][]MeanGate{
+		"nil":   nil,
+		"upper": {upper},
+		"lower": {lower},
+		"both":  {upper, lower},
+		"band":  {{Member: 1, Offset: -0.25, Lo: quantile(1, 0.2) - 0.25, Hi: quantile(1, 0.7) - 0.25}},
+		"none":  {{Member: 1, Lo: math.Inf(1), Hi: math.Inf(1)}},
+		"all":   {{Member: last, Lo: math.Inf(-1), Hi: math.Inf(1)}},
+		"empty": {},
+	}
+}
+
+// requireGatedMatches asserts the gated-sweep contract against the
+// ungated reference over idxs: every mean bitwise equal; a candidate
+// passing every gate — evaluated here from the reference means, as
+// Lo <= μ+Offset <= Hi — has its σ bitwise equal for every member, any
+// other σ = +Inf for every member; and the returned count is the number
+// of passing candidates, which it returns. Workers 1, 2 and 3.
+func requireGatedMatches(t *testing.T, p *SweepPlan, ctx []float64, idxs []int32, gates []MeanGate, refMu, refSigma [][]float64) int {
+	t.Helper()
+	k := len(refMu)
+	want := 0
+	for _, workers := range []int{1, 2, 3} {
+		mu, sigma := groupOutputs(k, len(idxs))
+		solved := p.SweepSubset(ctx, idxs, gates, mu, sigma, workers)
+		want = 0
+		for j := range idxs {
+			pass := true
+			for _, g := range gates {
+				v := refMu[g.Member][j] + g.Offset
+				pass = pass && v >= g.Lo && v <= g.Hi
+			}
+			if pass {
+				want++
+			}
+			for m := 0; m < k; m++ {
+				if !bitsEqual(mu[m][j], refMu[m][j]) {
+					t.Fatalf("workers=%d member %d slot %d: gated μ %x, ungated %x", workers, m, j, mu[m][j], refMu[m][j])
+				}
+				switch {
+				case pass && !bitsEqual(sigma[m][j], refSigma[m][j]):
+					t.Fatalf("workers=%d member %d slot %d passes: gated σ %x, ungated %x", workers, m, j, sigma[m][j], refSigma[m][j])
+				case !pass && !math.IsInf(sigma[m][j], 1):
+					t.Fatalf("workers=%d member %d slot %d fails a gate: σ %v, want +Inf", workers, m, j, sigma[m][j])
+				}
+			}
+		}
+		if solved != want {
+			t.Fatalf("workers=%d: SweepSubset reported %d solves, %d candidates pass", workers, solved, want)
+		}
+	}
+	return want
+}
+
+// TestSweepGateMatchesUngated pins the mean-gate contract of SweepSubset:
+// against the same plan's ungated sweep, means agree bitwise everywhere,
+// σ agree bitwise wherever every gate passes and are +Inf exactly where a
+// gate's expression fails — on the exact engine, after sliding-window
+// evictions, and on the sparse engine after inducing swaps, for workers
+// 1–3, over the identity and a random index list, with gates on any
+// member, several at once, or none (nil).
+func TestSweepGateMatchesUngated(t *testing.T) {
+	const ctxDims, window, k = 3, 24, 3
+	counts := []int{5, 4, 3, 4}
+	levels := sweepLevels(counts)
+	for _, sparse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sparse=%v", sparse), func(t *testing.T) {
+			members := groupTestGPs(t, k, ctxDims, len(counts), 20, window, sparse, 53)
+			p, err := NewSweepPlan(members, ctxDims, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(59))
+			check := func(stage string) {
+				ctx := make([]float64, ctxDims)
+				for j := range ctx {
+					ctx[j] = rng.Float64()
+				}
+				random := make([]int32, 300)
+				for j := range random {
+					random[j] = int32(rng.Intn(p.GridSize()))
+				}
+				for _, list := range []struct {
+					name string
+					idxs []int32
+				}{{"identity", gridIndices(p.GridSize())}, {"random", random}} {
+					refMu, refSigma := groupOutputs(k, len(list.idxs))
+					p.SweepSubset(ctx, list.idxs, nil, refMu, refSigma, 1)
+					for name, gates := range gateSets(refMu) {
+						t.Run(stage+"/"+list.name+"/"+name, func(t *testing.T) {
+							pass := requireGatedMatches(t, p, ctx, list.idxs, gates, refMu, refSigma)
+							switch name {
+							case "none":
+								if pass != 0 {
+									t.Fatalf("%d candidates pass a gate nothing can meet", pass)
+								}
+							case "nil", "all", "empty":
+								if pass != len(list.idxs) {
+									t.Fatalf("%d of %d candidates pass", pass, len(list.idxs))
+								}
+							default:
+								if pass == 0 || pass == len(list.idxs) {
+									t.Fatalf("%d of %d candidates pass: the gates do not split the grid", pass, len(list.idxs))
+								}
+							}
+						})
+					}
+				}
+			}
+			check("initial")
+			addGroupObs(t, members, 40, rng)
+			if sparse {
+				if members[0].InducingSwaps() == 0 {
+					t.Fatal("expected an inducing swap")
+				}
+				check("swapped")
+			} else {
+				if members[0].Evictions() == 0 {
+					t.Fatal("expected an eviction")
+				}
+				check("evicted")
+			}
+		})
+	}
+}
+
+// TestSweepGateEmptyBasis covers the prior-only sweep: before any
+// observation the means are 0 and σ = √prior, or +Inf where a gate fails.
+func TestSweepGateEmptyBasis(t *testing.T) {
+	members := groupTestGPs(t, 2, 1, 2, 0, 0, false, 61)
+	p, err := NewSweepPlan(members, 1, sweepLevels([]int{3, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := gridIndices(p.GridSize())
+	prior := math.Sqrt(members[0].Kernel().Prior())
+	for _, tc := range []struct {
+		gates []MeanGate
+		pass  bool
+	}{
+		{[]MeanGate{{Member: 1, Offset: 0.5, Lo: math.Inf(-1), Hi: 0.5}}, true},
+		{[]MeanGate{{Member: 0, Offset: 0.5, Lo: math.Inf(-1), Hi: 0.25}}, false},
+	} {
+		mu, sigma := groupOutputs(2, len(idxs))
+		solved := p.SweepSubset([]float64{0.3}, idxs, tc.gates, mu, sigma, 1)
+		wantSigma, wantSolved := math.Inf(1), 0
+		if tc.pass {
+			wantSigma, wantSolved = prior, len(idxs)
+		}
+		if solved != wantSolved {
+			t.Fatalf("gates %+v: %d solves, want %d", tc.gates, solved, wantSolved)
+		}
+		for m := range mu {
+			for j := range idxs {
+				if mu[m][j] != 0 || !bitsEqual(sigma[m][j], wantSigma) { //edgebol:allow floateq -- the prior mean is exactly 0
+					t.Fatalf("gates %+v member %d slot %d: (%v, %v), want (0, %v)", tc.gates, m, j, mu[m][j], sigma[m][j], wantSigma)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepGateRejectsMember pins the gate validation: a gate naming a
+// member outside the plan panics instead of reading another slice.
+func TestSweepGateRejectsMember(t *testing.T) {
+	members := groupTestGPs(t, 2, 1, 2, 4, 0, false, 67)
+	p, err := NewSweepPlan(members, 1, sweepLevels([]int{3, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "member 2") {
+			t.Fatalf("panic %v, want one naming member 2", r)
+		}
+	}()
+	idxs := gridIndices(p.GridSize())
+	mu, sigma := groupOutputs(2, len(idxs))
+	p.SweepSubset([]float64{0.3}, idxs, []MeanGate{{Member: 2, Hi: 1}}, mu, sigma, 1)
 }

@@ -23,7 +23,8 @@ const PanelWidth = 32
 // one extra panel write + read over the solve itself.
 //
 // The zero value is ready to use; the struct only carries the interleaved
-// panel scratch so repeated tiles reuse one allocation. A FusedSolver must
+// panel scratch so repeated tiles — and repeated sweeps, while the factor
+// grows — reuse one allocation. A FusedSolver must
 // not be shared between goroutines (each posterior-sweep worker owns one).
 type FusedSolver struct {
 	panel []float64
@@ -71,8 +72,10 @@ func (s *FusedSolver) SolveFused(c *Cholesky, cols [][]float64, alpha, mu, vsq [
 // same ascending-index accumulation chain as Dot(x, x)).
 func (s *FusedSolver) solveTile(c *Cholesky, cols [][]float64, alpha, mu, vsq []float64) {
 	n := c.n
-	if cap(s.panel) < n*PanelWidth {
-		s.panel = make([]float64, n*PanelWidth)
+	if need := n * PanelWidth; cap(s.panel) < need {
+		// 50 % headroom: a factor that grows by a row per period
+		// reallocates the panel only every few dozen periods.
+		s.panel = make([]float64, need+need/2)
 	}
 	panel := s.panel[:n*PanelWidth]
 	for j, y := range cols {
